@@ -1,8 +1,7 @@
 """Command-line front end: validate, simulate, certify, emit examples.
 
 Exit codes: 0 pass, 1 check/validation failure, 2 usage or parse error,
-3 solver (Newton) failure.  Output is deterministic for fixed inputs; the
-environment variable PHS_KIT_THREADS caps internal data-parallel verification.
+3 solver (Newton) failure.  Output is deterministic for fixed inputs.
 """
 
 import json
@@ -13,8 +12,6 @@ import click
 import numpy as np
 
 from .catalog import EXAMPLE_NAMES, make_example
-from .dirac import validate_kernel
-from .energy import Modulated, resistive_check
 from .errors import NewtonError, StructureError
 from .fileio import (
     FileFormatError,
@@ -25,7 +22,7 @@ from .fileio import (
     trajectory_to_csv,
 )
 from .integrate import SchemeConfig, simulate
-from .system import PortSignal, assemble
+from .system import PortSignal, assemble, validate_components
 from .verify import energy_report, strong_trajectory_audit, weak_residual
 
 _STEP_RE = re.compile(r"^step\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)$")
@@ -43,6 +40,31 @@ def _load_doc(path):
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _load_system(path, tol=1e-10, report=False):
+    """Parse and validate a system file; exit 2 on a parse error, 1 on a failed validation.
+
+    ``tol`` gates the Dirac check and, floored at 1e-12, the passivity check.
+    Returns the assembled system; with ``report`` it prints the validation
+    report instead and exits 0 when every check passed.
+    """
+    try:
+        parts = parse_system_dict(_load_doc(path))
+    except FileFormatError as exc:
+        click.echo(f"parse error: {exc}", err=True)
+        _sys.exit(2)
+    components = (parts["dirac"], parts["ham"], parts["res"], parts["causality"])
+    tols = {"dirac_tol": tol, "resistive_tol": max(tol, 1e-12)}
+    if report:
+        doc, problems = validate_components(*components, **tols)
+        _echo_json(doc)
+        _sys.exit(1 if problems else 0)
+    try:
+        return assemble(*components, **tols)
+    except StructureError as exc:
+        click.echo(f"validation error: {exc}", err=True)
+        _sys.exit(1)
 
 
 def _parse_signal(expr):
@@ -86,28 +108,7 @@ def main():
 @click.option("--tol", default=1e-10, show_default=True, help="Skew-defect tolerance.")
 def cmd_validate(system_file, tol):
     """Validate a system file; exit 0 iff all structure checks pass."""
-    try:
-        parts = parse_system_dict(_load_doc(system_file))
-    except FileFormatError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        _sys.exit(2)
-    dirac_report = validate_kernel(parts["dirac"], tol=tol)
-    res = parts["res"]
-    states = [np.zeros(parts["dirac"].n_s)] if isinstance(res, Modulated) else None
-    res_report = resistive_check(res, tol=max(tol, 1e-12), states=states)
-    causality_ok = len(parts["causality"]) == parts["dirac"].n_p and all(
-        c in ("effort", "flow") for c in parts["causality"]
-    )
-    ham_ok = parts["ham"].dim == parts["dirac"].n_s
-    passed = dirac_report.passed and res_report.passed and causality_ok and ham_ok
-    _echo_json({
-        "passed": passed,
-        "dirac": dirac_report.as_dict(),
-        "resistive": res_report.as_dict(),
-        "causality_ok": causality_ok,
-        "hamiltonian_dim_ok": ham_ok,
-    })
-    _sys.exit(0 if passed else 1)
+    _load_system(system_file, tol, report=True)
 
 
 @main.command("simulate")
@@ -129,16 +130,7 @@ def cmd_simulate(system_file, x0, t0, t1, dt, scheme, newton_tol, inputs, out):
         raise click.UsageError("--dt must be positive")
     if t1 <= t0:
         raise click.UsageError("--t1 must exceed --t0")
-    try:
-        parts = parse_system_dict(_load_doc(system_file))
-    except FileFormatError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        _sys.exit(2)
-    try:
-        sys_obj = assemble(parts["dirac"], parts["ham"], parts["res"], parts["causality"])
-    except StructureError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        _sys.exit(1)
+    sys_obj = _load_system(system_file)
     signals = {}
     for item in inputs:
         if "=" not in item:
@@ -178,14 +170,13 @@ def cmd_simulate(system_file, x0, t0, t1, dt, scheme, newton_tol, inputs, out):
                    "piecewise-constant channel data sits at O(dt), kinks at O(jump).")
 def cmd_check(system_file, trajectory_file, mode, tol, strong_tol):
     """Certify a trajectory against a system; exit 0 iff all requested checks pass."""
+    sys_obj = _load_system(system_file)
     try:
-        parts = parse_system_dict(_load_doc(system_file))
         traj = load_trajectory(trajectory_file)
     except FileFormatError as exc:
         click.echo(f"parse error: {exc}", err=True)
         _sys.exit(2)
     try:
-        sys_obj = assemble(parts["dirac"], parts["ham"], parts["res"], parts["causality"])
         traj.check_shapes(sys_obj)
     except StructureError as exc:
         click.echo(f"shape mismatch: {exc}", err=True)

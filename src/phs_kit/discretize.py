@@ -73,15 +73,13 @@ class StringSpec:
     """Vibrating string with a (possibly nonlinear) restoring-force law.
 
     ``force(xi, eps)`` must broadcast over numpy arrays; ``rho`` is a positive
-    mass density (callable or constant).  ``lipschitz_bound`` documents the
-    assumed Lipschitz constant of the force in the strain argument.
+    mass density (callable or constant).
     """
 
     N: int
     interval: Tuple[float, float] = (0.0, 1.0)
     rho: Union[Callable, float] = 1.0
     force: Callable = lambda xi, eps: eps
-    lipschitz_bound: float = 1.0
 
     def __post_init__(self):
         if self.N < 2:
@@ -89,8 +87,6 @@ class StringSpec:
         a, b = self.interval
         if not b > a:
             raise StructureError("interval must satisfy b > a")
-        if self.lipschitz_bound <= 0:
-            raise StructureError("lipschitz_bound must be positive")
 
 
 def string_grid(spec):
@@ -179,14 +175,11 @@ class DiffusionSpec:
     """Scalar diffusion on an interval with trace/flux boundary ports.
 
     ``a_coeff`` is the positive diffusion coefficient (callable or constant).
-    ``domain_shape`` is reserved for a future rectangle variant; only
-    "interval" is implemented.
     """
 
     N: int
     interval: Tuple[float, float] = (0.0, 1.0)
     a_coeff: Union[Callable, float] = 1.0
-    domain_shape: str = "interval"
 
     def __post_init__(self):
         if self.N < 2:
@@ -194,8 +187,6 @@ class DiffusionSpec:
         a, b = self.interval
         if not b > a:
             raise StructureError("interval must satisfy b > a")
-        if self.domain_shape != "interval":
-            raise StructureError("only domain_shape='interval' is implemented")
 
 
 def diffusion_grid(spec):

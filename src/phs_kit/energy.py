@@ -1,11 +1,22 @@
-"""Hamiltonians, discrete gradients, and passive resistive relations."""
+"""Hamiltonians, discrete gradients, and passive resistive relations.
+
+This module alone knows which energy and relation types exist; the
+simulator, the audits and the file layer use only these methods.  An energy
+has ``value`` and ``gradient`` on one state (n_s,) or a batch (m, n_s), and
+``to_dict`` (None when it has no file form).  A relation has ``n_aux`` (its
+auxiliary unknowns in a time step), ``at(x)`` (the concrete relation at a
+state), ``pair(v, x)`` -> (f_R, e_R), ``check(tol, states)`` ->
+ResistiveValidation, ``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair``
+and ``distance`` take one vector or a batch over leading axes; the state x
+matters only to a Modulated relation, which resolves a batch row by row.
+"""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import as_matrix
+from ._linalg import as_matrix, row_space_basis
 from .errors import DomainError, StructureError
 
 __all__ = [
@@ -52,18 +63,26 @@ class QuadraticHamiltonian:
         return self.H.shape[0]
 
     def value(self, x):
+        """Energy of a state (float) or of each row of a batch (array)."""
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.H @ x) + self.b @ x + self.c)
+        if x.ndim == 1:
+            return float(0.5 * x @ (self.H @ x) + self.b @ x + self.c)
+        return 0.5 * np.einsum("ij,ij->i", x @ self.H.T, x) + x @ self.b + self.c
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.H @ x + self.b
+        """Gradient of a state, or of each row of a batch."""
+        return np.asarray(x, dtype=float) @ self.H.T + self.b
+
+    def to_dict(self):
+        """Inline file form."""
+        return {"type": "quadratic", "H": self.H.tolist(), "b": self.b.tolist(), "c": self.c}
 
 
 @dataclass(frozen=True)
 class GeneralHamiltonian:
     """Differentiable energy given by user callables for value and gradient.
 
+    The callables take one state; a batch (m, n_s) is evaluated row by row.
     ``domain`` (optional) is a predicate for the open set on which the energy
     is defined; evaluations outside raise DomainError.
     """
@@ -78,17 +97,27 @@ class GeneralHamiltonian:
             raise DomainError(f"state outside Hamiltonian domain: {x}")
 
     def value(self, x):
+        """Energy of a state (float) or of each row of a batch (array)."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.array([self.value(row) for row in x])
         self._check(x)
         return float(self.value_fn(x))
 
     def gradient(self, x):
+        """Gradient of a state, or of each row of a batch."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.array([self.gradient(row) for row in x]).reshape(len(x), self.dim)
         self._check(x)
         g = np.atleast_1d(np.asarray(self.gradient_fn(x), dtype=float))
         if g.shape != (self.dim,):
             raise StructureError(f"gradient must have length {self.dim}, got {g.shape}")
         return g
+
+    def to_dict(self):
+        """None: user callables have no file form (see ``hamiltonian_spec``)."""
+        return None
 
 
 def ham_eval(h, x):
@@ -149,71 +178,6 @@ def check_gradient(h, points, step=1e-6, rtol=1e-5):
 
 
 @dataclass(frozen=True)
-class LinearGraph:
-    """Graph relation e_R = -R f_R; passive iff sym(R) is PSD."""
-
-    R: np.ndarray
-
-    def __post_init__(self):
-        R = as_matrix(self.R, "R") if np.ndim(self.R) == 2 else np.atleast_2d(np.asarray(self.R, float))
-        if R.shape[0] != R.shape[1]:
-            raise StructureError(f"R must be square, got {R.shape}")
-        object.__setattr__(self, "R", R)
-
-    @property
-    def n_r(self):
-        return self.R.shape[0]
-
-    def effort(self, f_r):
-        return -self.R @ np.asarray(f_r, dtype=float)
-
-
-@dataclass(frozen=True)
-class Parametric:
-    """Image relation f_R = A λ, e_R = B λ; passive iff sym(A^T B) is NSD."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        if A.shape != B.shape:
-            raise StructureError(f"A and B must have equal shape, got {A.shape}, {B.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def n_r(self):
-        return self.A.shape[0]
-
-    @property
-    def n_lambda(self):
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
-class Modulated:
-    """State-modulated family of resistive relations.
-
-    ``family`` maps a state to a LinearGraph or Parametric; passivity is only
-    checkable at sampled states (relative closedness of the family is a
-    modeling assumption, not decided numerically).
-    """
-
-    family: Callable[[np.ndarray], object]
-    n_r: int
-
-    def at(self, x):
-        rel = self.family(np.asarray(x, dtype=float))
-        if isinstance(rel, Modulated):
-            raise StructureError("modulated family must resolve to a concrete relation")
-        if rel.n_r != self.n_r:
-            raise StructureError(f"family returned n_r = {rel.n_r}, expected {self.n_r}")
-        return rel
-
-
-@dataclass(frozen=True)
 class ResistiveValidation:
     """Result of a passivity check on a resistive relation."""
 
@@ -236,10 +200,169 @@ class ResistiveValidation:
 
 
 def _sym_eigrange(m):
+    """Extreme eigenvalues of sym(m) and the tolerance scale max(1, max|m|)."""
     if m.size == 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 1.0
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(w[0]), float(w[-1])
+    return float(w[0]), float(w[-1]), max(1.0, float(np.max(np.abs(m))))
+
+
+@dataclass(frozen=True)
+class LinearGraph:
+    """Graph relation e_R = -R f_R; passive iff sym(R) is PSD.
+
+    The auxiliary unknowns are f_R itself (n_aux = n_r).
+    """
+
+    R: np.ndarray
+
+    def __post_init__(self):
+        R = as_matrix(self.R, "R") if np.ndim(self.R) == 2 else np.atleast_2d(np.asarray(self.R, float))
+        if R.shape[0] != R.shape[1]:
+            raise StructureError(f"R must be square, got {R.shape}")
+        object.__setattr__(self, "R", R)
+
+    @property
+    def n_r(self):
+        return self.R.shape[0]
+
+    @property
+    def n_aux(self):
+        return self.n_r
+
+    def at(self, x):
+        """The relation itself: it does not depend on the state."""
+        return self
+
+    def effort(self, f_r):
+        return -(np.asarray(f_r, dtype=float) @ self.R.T)
+
+    def pair(self, v, x=None):
+        """(f_R, e_R) = (v, -R v)."""
+        return v, self.effort(v)
+
+    def check(self, tol=1e-10, states=None):
+        """Passes iff sym(R) >= -tol * max(1, max|R|)."""
+        lo, hi, scale = _sym_eigrange(self.R)
+        return ResistiveValidation(lo >= -tol * scale, lo, hi, tol, "linear_graph")
+
+    def distance(self, x, f_r, e_r):
+        """||e_R + R f_R||."""
+        return np.linalg.norm(e_r - self.effort(f_r), axis=-1)
+
+    def to_dict(self):
+        return {"type": "linear_graph", "R": self.R.tolist()}
+
+
+@dataclass(frozen=True)
+class Parametric:
+    """Image relation f_R = A λ, e_R = B λ; passive iff sym(A^T B) is NSD.
+
+    The auxiliary unknowns are the parameters λ (n_aux = n_lambda).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+
+    def __post_init__(self):
+        A = as_matrix(self.A, "A")
+        B = as_matrix(self.B, "B")
+        if A.shape != B.shape:
+            raise StructureError(f"A and B must have equal shape, got {A.shape}, {B.shape}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+
+    @property
+    def n_r(self):
+        return self.A.shape[0]
+
+    @property
+    def n_lambda(self):
+        return self.A.shape[1]
+
+    @property
+    def n_aux(self):
+        return self.n_lambda
+
+    def at(self, x):
+        """The relation itself: it does not depend on the state."""
+        return self
+
+    def pair(self, v, x=None):
+        """(f_R, e_R) = (A λ, B λ) for λ = v."""
+        return v @ self.A.T, v @ self.B.T
+
+    def check(self, tol=1e-10, states=None):
+        """Passes iff sym(A^T B) <= tol * max(1, max|A^T B|)."""
+        lo, hi, scale = _sym_eigrange(self.A.T @ self.B)
+        return ResistiveValidation(hi <= tol * scale, lo, hi, tol, "parametric")
+
+    def distance(self, x, f_r, e_r):
+        """Euclidean distance of the stacked pair (f_R; e_R) to im[A; B]."""
+        q = row_space_basis(np.vstack([self.A, self.B]).T)
+        w = np.concatenate([f_r, e_r], axis=-1)
+        return np.linalg.norm(w - (w @ q) @ q.T, axis=-1)
+
+    def to_dict(self):
+        return {"type": "parametric", "A": self.A.tolist(), "B": self.B.tolist()}
+
+
+@dataclass(frozen=True)
+class Modulated:
+    """State-modulated family of resistive relations.
+
+    ``family`` maps a state to a LinearGraph or Parametric; passivity is only
+    checkable at sampled states (relative closedness of the family is a
+    modeling assumption, not decided numerically).  A modulated relation has
+    no file form.
+    """
+
+    family: Callable[[np.ndarray], object]
+    n_r: int
+
+    @property
+    def n_aux(self):
+        return self.n_r
+
+    def at(self, x):
+        """The concrete relation at state x."""
+        rel = self.family(np.asarray(x, dtype=float))
+        if isinstance(rel, Modulated):
+            raise StructureError("modulated family must resolve to a concrete relation")
+        if rel.n_r != self.n_r:
+            raise StructureError(f"family returned n_r = {rel.n_r}, expected {self.n_r}")
+        return rel
+
+    def pair(self, v, x):
+        """(f_R, e_R) of the member at x; a batch (m, n_aux) needs states x (m, n_s)."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 1:
+            return self.at(x).pair(v)
+        f_r, e_r = np.empty((2, len(v), self.n_r))
+        for k, (x_k, v_k) in enumerate(zip(x, v)):
+            f_r[k], e_r[k] = self.at(x_k).pair(v_k)
+        return f_r, e_r
+
+    def check(self, tol=1e-10, states=None):
+        """Checks the family member at every sample state (required)."""
+        if states is None or len(states) == 0:
+            raise StructureError("checking a modulated relation requires sample states")
+        subs = [self.at(x).check(tol) for x in states]
+        return ResistiveValidation(
+            all(s.passed for s in subs), min(s.min_eig for s in subs),
+            max(s.max_eig for s in subs), tol, "modulated", states_checked=len(subs),
+        )
+
+    def distance(self, x, f_r, e_r):
+        """Distance to the member at x, row by row for a batch."""
+        f_r = np.asarray(f_r, dtype=float)
+        if f_r.ndim == 1:
+            return self.at(x).distance(x, f_r, e_r)
+        return np.array([self.at(x_k).distance(x_k, f_k, e_k)
+                         for x_k, f_k, e_k in zip(x, f_r, e_r)])
+
+    def to_dict(self):
+        raise StructureError("modulated resistive relations have no file form")
 
 
 def resistive_check(rel, tol=1e-10, states=None):
@@ -254,24 +377,7 @@ def resistive_check(rel, tol=1e-10, states=None):
         raise StructureError("tol must be positive")
     if rel is None:
         return ResistiveValidation(True, 0.0, 0.0, tol, "none")
-    if isinstance(rel, Modulated):
-        if states is None or len(states) == 0:
-            raise StructureError("checking a modulated relation requires sample states")
-        lo, hi, ok = np.inf, -np.inf, True
-        for x in states:
-            sub = resistive_check(rel.at(x), tol=tol)
-            lo, hi, ok = min(lo, sub.min_eig), max(hi, sub.max_eig), ok and sub.passed
-        return ResistiveValidation(ok, lo, hi, tol, "modulated", states_checked=len(states))
-    if isinstance(rel, LinearGraph):
-        lo, hi = _sym_eigrange(rel.R)
-        scale = max(1.0, float(np.max(np.abs(rel.R))) if rel.R.size else 0.0)
-        return ResistiveValidation(lo >= -tol * scale, lo, hi, tol, "linear_graph")
-    if isinstance(rel, Parametric):
-        m = rel.A.T @ rel.B
-        lo, hi = _sym_eigrange(m)
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        return ResistiveValidation(hi <= tol * scale, lo, hi, tol, "parametric")
-    raise StructureError(f"unknown resistive relation type: {type(rel)!r}")
+    return rel.check(tol, states)
 
 
 def resistive_residual(rel, x, f_r, e_r):
@@ -288,13 +394,4 @@ def resistive_residual(rel, x, f_r, e_r):
         return 0.0
     if f_r.shape != (rel.n_r,) or e_r.shape != (rel.n_r,):
         raise StructureError(f"resistive values must have length {rel.n_r}")
-    if isinstance(rel, Modulated):
-        return resistive_residual(rel.at(x), x, f_r, e_r)
-    if isinstance(rel, LinearGraph):
-        return float(np.linalg.norm(e_r + rel.R @ f_r))
-    if isinstance(rel, Parametric):
-        stacked = np.vstack([rel.A, rel.B])
-        v = np.concatenate([f_r, e_r])
-        lam, *_ = np.linalg.lstsq(stacked, v, rcond=None)
-        return float(np.linalg.norm(v - stacked @ lam))
-    raise StructureError(f"unknown resistive relation type: {type(rel)!r}")
+    return float(rel.distance(x, f_r, e_r))

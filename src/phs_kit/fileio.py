@@ -58,37 +58,19 @@ def _matrix(data, name):
 
 def system_to_dict(sys, metadata=None):
     """Serialize an assembled system to the SystemFileV1 structure."""
-    ham = sys.ham
-    if isinstance(ham, QuadraticHamiltonian):
-        ham_doc = {
-            "type": "quadratic",
-            "H": ham.H.tolist(),
-            "b": ham.b.tolist(),
-            "c": ham.c,
-        }
-    else:
-        spec = sys.metadata.get("hamiltonian_spec")
-        if not spec:
-            raise StructureError(
-                "only quadratic or builtin Hamiltonians can be serialized; "
-                "arbitrary user Hamiltonians are library-level only"
-            )
-        ham_doc = dict(spec)
-    res = sys.res
-    if res is None:
-        res_doc = {"type": "none"}
-    elif isinstance(res, LinearGraph):
-        res_doc = {"type": "linear_graph", "R": res.R.tolist()}
-    elif isinstance(res, Parametric):
-        res_doc = {"type": "parametric", "A": res.A.tolist(), "B": res.B.tolist()}
-    else:
-        raise StructureError("modulated resistive relations have no file form")
+    ham_doc = sys.ham.to_dict() or sys.metadata.get("hamiltonian_spec")
+    if not ham_doc:
+        raise StructureError(
+            "only quadratic or builtin Hamiltonians can be serialized; "
+            "arbitrary user Hamiltonians are library-level only"
+        )
+    res_doc = {"type": "none"} if sys.res is None else sys.res.to_dict()
     return {
         "version": SYSTEM_FILE_VERSION,
         "dims": {"n_s": sys.n_s, "n_r": sys.n_r, "n_p": sys.n_p},
         "F": sys.dirac.F.tolist(),
         "G": sys.dirac.G.tolist(),
-        "hamiltonian": ham_doc,
+        "hamiltonian": dict(ham_doc),
         "resistive": res_doc,
         "causality": list(sys.causality),
         "metadata": metadata if metadata is not None else {},

@@ -18,13 +18,12 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import EPS, null_space_basis
-from .energy import LinearGraph, Parametric, discrete_gradient, ham_grad
+from .energy import discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory
 
 __all__ = [
     "SchemeConfig",
-    "StepUnknowns",
     "ConsistencyReport",
     "consistent_init",
     "simulate",
@@ -64,83 +63,50 @@ class SchemeConfig:
             raise StructureError("jacobian must be 'finite_difference' or a callable")
 
 
-@dataclass(frozen=True)
-class StepUnknowns:
-    """Unpacked per-step unknowns: next state, resistive vector, free port halves.
+def _channels(sys, effort_prescribed, v, x, prescribed):
+    """Resolve (f_R, e_R, f_P, e_P) at state x from the auxiliary unknowns.
 
-    The resistive entry is f_R for graph relations and the parameter vector
-    for parametric ones; the port entry collects the non-prescribed half of
-    each channel.  Their total length always equals n.
+    ``v`` holds the relation's n_aux unknowns followed by the free half of
+    each port channel; ``prescribed`` holds the other halves.
     """
+    n_aux = v.size - effort_prescribed.size
+    if sys.res is None:
+        f_r = e_r = np.zeros(0)
+    else:
+        f_r, e_r = sys.res.pair(v[:n_aux], x)
+    v_p = v[n_aux:]
+    f_p = np.where(effort_prescribed, v_p, prescribed)
+    e_p = np.where(effort_prescribed, prescribed, v_p)
+    return f_r, e_r, f_p, e_p
 
-    x_next: np.ndarray
-    resistive: np.ndarray
-    port_free: np.ndarray
 
-    @property
-    def total(self):
-        return self.x_next.size + self.resistive.size + self.port_free.size
+def _aux_count(sys):
+    """Auxiliary unknowns of a step besides the state: relation, then free port halves."""
+    return (0 if sys.res is None else sys.res.n_aux) + sys.n_p
 
 
-class _StepProblem:
-    """Builds per-step residuals for a system with fixed causality."""
+def _step_residual(sys, use_dg, effort_prescribed, x0, dt, prescribed):
+    """Residual of one step in z = (next state, auxiliary unknowns of ``_channels``)."""
+    d, n_s = sys.dirac, x0.size
 
-    def __init__(self, sys, cfg):
-        self.sys = sys
-        self.cfg = cfg
-        d = sys.dirac
-        self.n_s, self.n_r, self.n_p = d.n_s, d.n_r, d.n_p
-        if isinstance(sys.res, Parametric) and sys.res.n_lambda != d.n_r:
-            raise StructureError(
-                "parametric resistive relation needs a square parameterization "
-                f"(n_lambda = {sys.res.n_lambda}, n_r = {d.n_r}) for time stepping"
-            )
-        self.effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
+    def residual(z):
+        x1 = z[:n_s]
+        x_mid = 0.5 * (x0 + x1)
+        g = discrete_gradient(sys.ham, x0, x1) if use_dg else ham_grad(sys.ham, x_mid)
+        f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, z[n_s:], x_mid, prescribed)
+        flows = np.concatenate([-(x1 - x0) / dt, f_r, f_p])
+        efforts = np.concatenate([g, e_r, e_p])
+        return d.F @ flows + d.G @ efforts
 
-    def unpack(self, z):
-        n_s, n_r = self.n_s, self.n_r
-        return StepUnknowns(z[:n_s], z[n_s : n_s + n_r], z[n_s + n_r :])
-
-    def channel_values(self, z, x_state, prescribed):
-        """Resolve (f_r, e_r, f_p, e_p) from unknowns and prescribed inputs."""
-        u = self.unpack(z)
-        rel = self.sys.resistive_at(x_state) if self.n_r else None
-        if rel is None:
-            f_r = e_r = np.zeros(0)
-        elif isinstance(rel, LinearGraph):
-            f_r = u.resistive
-            e_r = rel.effort(f_r)
-        elif isinstance(rel, Parametric):
-            f_r = rel.A @ u.resistive
-            e_r = rel.B @ u.resistive
-        else:
-            raise StructureError(f"cannot step relation type {type(rel)!r}")
-        f_p = np.where(self.effort_prescribed, u.port_free, prescribed)
-        e_p = np.where(self.effort_prescribed, prescribed, u.port_free)
-        return f_r, e_r, f_p, e_p
-
-    def residual_factory(self, x0, dt, prescribed):
-        sys, d = self.sys, self.sys.dirac
-        use_dg = self.cfg.scheme == "discrete_gradient"
-
-        def residual(z):
-            x1 = z[: self.n_s]
-            x_mid = 0.5 * (x0 + x1)
-            g = discrete_gradient(sys.ham, x0, x1) if use_dg else ham_grad(sys.ham, x_mid)
-            f_r, e_r, f_p, e_p = self.channel_values(z, x_mid, prescribed)
-            flows = np.concatenate([-(x1 - x0) / dt, f_r, f_p])
-            efforts = np.concatenate([g, e_r, e_p])
-            return d.F @ flows + d.G @ efforts
-
-        return residual
+    return residual
 
 
 def _fd_jacobian(residual, z, r0=None):
+    """Forward-difference Jacobian of ``residual`` at z, step sqrt(eps)*(1+||z||)."""
     r0 = residual(z) if r0 is None else r0
-    n = z.size
-    jac = np.empty((n, n))
+    jac = np.empty((r0.size, z.size))
     h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(z)))
-    for j in range(n):
+    for j in range(z.size):
         zp = z.copy()
         zp[j] += h
         jac[:, j] = (residual(zp) - r0) / h
@@ -242,11 +208,6 @@ class ConsistencyReport:
     violated_row: Optional[int] = None
 
 
-def _aux_count(sys):
-    n_aux_r = sys.res.n_lambda if isinstance(sys.res, Parametric) else sys.n_r
-    return n_aux_r, sys.n_p
-
-
 def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     """Project initial data onto the algebraic constraints of the DAE.
 
@@ -275,39 +236,13 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
 
     effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
     prescribed = np.array([inputs.value(i, t0) for i in range(sys.n_p)], dtype=float)
-    n_aux_r, n_aux_p = _aux_count(sys)
-    n_aux = n_aux_r + n_aux_p
+    n_aux = _aux_count(sys)
 
     def constraint(x, v):
-        rel = sys.resistive_at(x) if sys.n_r else None
-        vr, vp = v[:n_aux_r], v[n_aux_r:]
-        if rel is None:
-            f_r = e_r = np.zeros(0)
-        elif isinstance(rel, LinearGraph):
-            f_r, e_r = vr, rel.effort(vr)
-        elif isinstance(rel, Parametric):
-            f_r, e_r = rel.A @ vr, rel.B @ vr
-        else:
-            raise StructureError(f"cannot project with relation type {type(rel)!r}")
-        f_p = np.where(effort_prescribed, vp, prescribed)
-        e_p = np.where(effort_prescribed, prescribed, vp)
+        f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x, prescribed)
         full = (d.F_r @ f_r + d.F_p @ f_p + d.G_s @ ham_grad(sys.ham, x)
                 + d.G_r @ e_r + d.G_p @ e_p)
         return w.T @ full
-
-    def jac_blocks(x, v, c0):
-        h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(v)))
-        cx = np.empty((m, sys.n_s))
-        for j in range(sys.n_s):
-            xp = x.copy()
-            xp[j] += h
-            cx[:, j] = (constraint(xp, v) - c0) / h
-        cv = np.empty((m, n_aux))
-        for j in range(n_aux):
-            vp = v.copy()
-            vp[j] += h
-            cv[:, j] = (constraint(x, vp) - c0) / h
-        return cx, cv
 
     # minimize over the auxiliary variables first (Gauss-Newton; exact for
     # affine constraints) to measure the true algebraic residual at x_guess
@@ -316,7 +251,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     for _ in range(max_iter):
         if np.linalg.norm(c) <= tol:
             break
-        _, cv = jac_blocks(x_guess, v, c)
+        cv = _fd_jacobian(lambda u: constraint(x_guess, u), v, c)
         dv, *_ = np.linalg.lstsq(cv, -c, rcond=None)
         if np.linalg.norm(dv) <= 1e2 * EPS * (1.0 + np.linalg.norm(v)):
             break
@@ -334,7 +269,9 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     opt_tol = max(tol, 1e-9 * (1.0 + float(np.linalg.norm(x_guess))))
     for _ in range(max_iter):
         c = constraint(x, v)
-        cx, cv = jac_blocks(x, v, c)
+        jac = _fd_jacobian(lambda y: constraint(y[: sys.n_s], y[sys.n_s :]),
+                           np.concatenate([x, v]), c)
+        cx, cv = jac[:, : sys.n_s], jac[:, sys.n_s :]
         r1 = x - x_guess + cx.T @ mu
         r2 = cv.T @ mu
         r3 = c
@@ -390,10 +327,16 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     inputs = PortSignal.coerce(port_inputs)
     inputs.validate_channels(sys)
 
-    problem = _StepProblem(sys, cfg)
-    solver = _NewtonSolver(cfg)
     n_s, n_r, n_p = sys.n_s, sys.n_r, sys.n_p
-    n_aux_r, _ = _aux_count(sys)
+    n_aux = _aux_count(sys)
+    if n_s + n_aux != sys.n:
+        raise StructureError(
+            f"the resistive relation needs n_aux = n_r for time stepping (the step "
+            f"system has {n_s + n_aux} unknowns for n = {sys.n} equations)"
+        )
+    use_dg = cfg.scheme == "discrete_gradient"
+    effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
+    solver = _NewtonSolver(cfg)
 
     t = t0 + dt * np.arange(n_steps + 1)
     x = np.empty((n_steps + 1, n_s))
@@ -403,12 +346,12 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     e_p = np.empty((n_steps, n_p))
     x[0] = x0
 
-    z = np.concatenate([x0, np.zeros(n_aux_r + n_p)])
+    z = np.concatenate([x0, np.zeros(n_aux)])
     max_residual = 0.0
     for k in range(n_steps):
         t_mid = t0 + (k + 0.5) * dt
         prescribed = np.array([inputs.value(i, t_mid) for i in range(n_p)], dtype=float)
-        residual = problem.residual_factory(x[k], dt, prescribed)
+        residual = _step_residual(sys, use_dg, effort_prescribed, x[k], dt, prescribed)
         z[:n_s] = x[k]  # predictor: previous state, previous auxiliaries
         try:
             z, res_norm = solver.solve(residual, z, step=k)
@@ -417,7 +360,8 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
             raise
         x[k + 1] = z[:n_s]
         x_mid = 0.5 * (x[k] + x[k + 1])
-        f_r[k], e_r[k], f_p[k], e_p[k] = problem.channel_values(z, x_mid, prescribed)
+        f_r[k], e_r[k], f_p[k], e_p[k] = _channels(sys, effort_prescribed, z[n_s:], x_mid,
+                                                    prescribed)
         max_residual = max(max_residual, res_norm)
 
     metadata = {

@@ -6,7 +6,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .dirac import DiracKernelRep, validate_kernel
-from .energy import Modulated, ham_grad, resistive_check, resistive_residual
+from .energy import resistive_check
 from .errors import StructureError
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "StrongResidual",
     "assemble",
     "strong_residual",
+    "validate_components",
 ]
 
 CAUSALITIES = ("effort", "flow")
@@ -53,68 +54,91 @@ class PhsSystem:
     def n_p(self):
         return self.dirac.n_p
 
-    def grad(self, x):
-        return ham_grad(self.ham, x)
-
     def resistive_at(self, x):
         """Concrete relation for the given state (resolves modulation)."""
-        if isinstance(self.res, Modulated):
-            return self.res.at(x)
-        return self.res
+        return None if self.res is None else self.res.at(x)
+
+
+def validate_components(dirac, ham, res=None, causality=(), dirac_tol=1e-10,
+                        resistive_tol=1e-10, resistive_states=None):
+    """Run every component check that ``assemble`` requires.
+
+    A modulated resistive relation is checked at ``resistive_states``
+    (defaults to the origin).
+
+    Returns
+    -------
+    report : dict
+        Keys passed, dirac, resistive (the two validation reports as dicts),
+        causality_ok and hamiltonian_dim_ok.
+    problems : list of str
+        One message per failed check; empty iff ``report["passed"]``.
+    """
+    problems = []
+    dirac_report = validate_kernel(dirac, tol=dirac_tol)
+    if not dirac_report.passed:
+        problems.append(
+            f"Dirac validation failed: rank {dirac_report.rank}/{dirac_report.rank_required}, "
+            f"skew defect {dirac_report.skew_defect:.3e}"
+        )
+    ham_ok = ham.dim == dirac.n_s
+    if not ham_ok:
+        problems.append(f"Hamiltonian dimension {ham.dim} != n_s = {dirac.n_s}")
+    res_report = resistive_check(None)
+    if dirac.n_r == 0:
+        if res is not None and res.n_r != 0:
+            problems.append("system has n_r = 0 but a resistive relation was given")
+    elif res is None:
+        problems.append(f"system has n_r = {dirac.n_r} but no resistive relation")
+    else:
+        if res.n_r != dirac.n_r:
+            problems.append(f"resistive dimension {res.n_r} != n_r = {dirac.n_r}")
+        states = [np.zeros(dirac.n_s)] if resistive_states is None else resistive_states
+        res_report = resistive_check(res, tol=resistive_tol, states=states)
+        if not res_report.passed:
+            problems.append(
+                f"resistive relation failed the passivity check (min/max sym eig "
+                f"{res_report.min_eig:.3e}/{res_report.max_eig:.3e})"
+            )
+    causality_ok = len(causality) == dirac.n_p and all(c in CAUSALITIES for c in causality)
+    if not causality_ok:
+        problems.append(
+            f"causality needs {dirac.n_p} entries from {CAUSALITIES}, got {tuple(causality)}"
+        )
+    report = {
+        "passed": not problems,
+        "dirac": dirac_report.as_dict(),
+        "resistive": res_report.as_dict(),
+        "causality_ok": causality_ok,
+        "hamiltonian_dim_ok": ham_ok,
+    }
+    return report, problems
 
 
 def assemble(dirac, ham, res=None, causality=(), dirac_tol=1e-10, resistive_tol=1e-10,
              resistive_states=None):
     """Validate the components and build a PhsSystem.
 
-    All component validations are re-run here; the tolerances used are
-    recorded in the system metadata.  A modulated resistive relation is
-    checked at ``resistive_states`` (defaults to the origin).
+    All component validations (``validate_components``) are re-run here; the
+    tolerances used are recorded in the system metadata.
 
     Raises
     ------
     StructureError
         On dimension inconsistencies or any failed validation.
     """
-    report = validate_kernel(dirac, tol=dirac_tol)
-    if not report.passed:
-        raise StructureError(
-            f"Dirac validation failed: rank {report.rank}/{report.rank_required}, "
-            f"skew defect {report.skew_defect:.3e}"
-        )
-    if ham.dim != dirac.n_s:
-        raise StructureError(f"Hamiltonian dimension {ham.dim} != n_s = {dirac.n_s}")
-    if dirac.n_r == 0:
-        if res is not None and getattr(res, "n_r", 0) != 0:
-            raise StructureError("system has n_r = 0 but a resistive relation was given")
-        res = None
-        res_report = resistive_check(None)
-    else:
-        if res is None:
-            raise StructureError(f"system has n_r = {dirac.n_r} but no resistive relation")
-        if res.n_r != dirac.n_r:
-            raise StructureError(f"resistive dimension {res.n_r} != n_r = {dirac.n_r}")
-        states = resistive_states
-        if isinstance(res, Modulated) and states is None:
-            states = [np.zeros(dirac.n_s)]
-        res_report = resistive_check(res, tol=resistive_tol, states=states)
-        if not res_report.passed:
-            raise StructureError(
-                f"resistive relation failed the passivity check (min/max sym eig "
-                f"{res_report.min_eig:.3e}/{res_report.max_eig:.3e})"
-            )
     causality = tuple(causality)
-    if len(causality) != dirac.n_p:
-        raise StructureError(f"causality needs {dirac.n_p} entries, got {len(causality)}")
-    for c in causality:
-        if c not in CAUSALITIES:
-            raise StructureError(f"causality entries must be one of {CAUSALITIES}, got {c!r}")
+    report, problems = validate_components(dirac, ham, res, causality, dirac_tol,
+                                           resistive_tol, resistive_states)
+    if problems:
+        raise StructureError("; ".join(problems))
     metadata = {
         "dirac_tol": dirac_tol,
         "resistive_tol": resistive_tol,
-        "dirac_validation": report.as_dict(),
-        "resistive_validation": res_report.as_dict(),
+        "dirac_validation": report["dirac"],
+        "resistive_validation": report["resistive"],
     }
+    res = res if dirac.n_r else None
     return PhsSystem(dirac=dirac, ham=ham, res=res, causality=causality, metadata=metadata)
 
 
@@ -124,6 +148,21 @@ class StrongResidual:
 
     dirac_defect: float
     resistive_defect: float
+
+
+def _inclusion_defects(sys, x, xdot, f_r, e_r, f_p, e_p):
+    """Dirac and resistive defects of the inclusion for batches of rows.
+
+    Every argument holds one row per point (m, width).  Returns two arrays of
+    length m: || F (-xdot; f_R; f_P) + G (grad H(x); e_R; e_P) || and the
+    distance of (f_R, e_R) to the relation at x.
+    """
+    d = sys.dirac
+    flows = np.hstack([-xdot, f_r, f_p])
+    efforts = np.hstack([sys.ham.gradient(x), e_r, e_p])
+    dirac = np.linalg.norm(flows @ d.F.T + efforts @ d.G.T, axis=1)
+    resistive = np.zeros(len(x)) if sys.res is None else sys.res.distance(x, f_r, e_r)
+    return dirac, resistive
 
 
 def strong_residual(sys, x, xdot, f_r=None, e_r=None, f_p=None, e_p=None):
@@ -145,11 +184,8 @@ def strong_residual(sys, x, xdot, f_r=None, e_r=None, f_p=None, e_p=None):
                        (f_p, d.n_p, "f_P"), (e_p, d.n_p, "e_P")):
         if v.shape != (m,):
             raise StructureError(f"{name} must have length {m}, got {v.shape}")
-    flows = np.concatenate([-xdot, f_r, f_p])
-    efforts = np.concatenate([sys.grad(x), e_r, e_p])
-    dirac_defect = float(np.linalg.norm(d.F @ flows + d.G @ efforts))
-    resistive_defect = resistive_residual(sys.res, x, f_r, e_r)
-    return StrongResidual(dirac_defect=dirac_defect, resistive_defect=resistive_defect)
+    dirac, resistive = _inclusion_defects(sys, *(v[None, :] for v in (x, xdot, f_r, e_r, f_p, e_p)))
+    return StrongResidual(dirac_defect=float(dirac[0]), resistive_defect=float(resistive[0]))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,13 @@ test-function mass (each hat integrates to dt) and divided by
 report second-order small for trajectories produced by the integrator.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .energy import QuadraticHamiltonian, ham_eval, ham_grad
 from .errors import StructureError
-from .system import Trajectory, strong_residual
+from .system import Trajectory, _inclusion_defects
 
 __all__ = [
     "WeakReport",
@@ -34,14 +31,6 @@ __all__ = [
 
 _GAUSS_LO = 0.5 - 0.5 / np.sqrt(3.0)
 _GAUSS_HI = 0.5 + 0.5 / np.sqrt(3.0)
-
-
-def _thread_count():
-    raw = os.environ.get("PHS_KIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -63,13 +52,6 @@ class WeakReport:
             "rows": int(self.residuals.shape[0]),
             "cols": int(self.residuals.shape[1]),
         }
-
-
-def _gradients_at(ham, states):
-    """Gradients for a batch of states, vectorized for the quadratic type."""
-    if isinstance(ham, QuadraticHamiltonian):
-        return states @ ham.H.T + ham.b
-    return np.array([ham_grad(ham, s) for s in states])
 
 
 def weak_residual(sys, traj):
@@ -95,27 +77,11 @@ def weak_residual(sys, traj):
     x_lo = (1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:]
     x_hi = (1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:]
 
-    def interval_terms(sl):
-        grads_lo = _gradients_at(sys.ham, x_lo[sl])
-        grads_hi = _gradients_at(sys.ham, x_hi[sl])
-        const = (traj.e_r[sl] @ d.G_r.T + traj.e_p[sl] @ d.G_p.T
-                 + traj.f_r[sl] @ d.F_r.T + traj.f_p[sl] @ d.F_p.T)
-        g_lo = grads_lo @ d.G_s.T + const
-        g_hi = grads_hi @ d.G_s.T + const
-        s_mean = 0.5 * (x_lo[sl] + x_hi[sl]) @ d.F_s.T
-        return g_lo, g_hi, s_mean
-
-    threads = _thread_count()
-    if threads > 1 and m_steps >= 4 * threads:
-        bounds = np.linspace(0, m_steps, threads + 1, dtype=int)
-        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(interval_terms, slices))
-        g_lo = np.vstack([p[0] for p in parts])
-        g_hi = np.vstack([p[1] for p in parts])
-        s_mean = np.vstack([p[2] for p in parts])
-    else:
-        g_lo, g_hi, s_mean = interval_terms(slice(None))
+    const = (traj.e_r @ d.G_r.T + traj.e_p @ d.G_p.T
+             + traj.f_r @ d.F_r.T + traj.f_p @ d.F_p.T)
+    g_lo = sys.ham.gradient(x_lo) @ d.G_s.T + const
+    g_hi = sys.ham.gradient(x_hi) @ d.G_s.T + const
+    s_mean = 0.5 * (x_lo + x_hi) @ d.F_s.T
 
     # hat at node k: rising over interval k-1, falling over interval k
     rising = _GAUSS_LO * g_lo + _GAUSS_HI * g_hi
@@ -177,10 +143,7 @@ def energy_report(sys, traj):
     balance to solver tolerance.
     """
     traj.check_shapes(sys)
-    if isinstance(sys.ham, QuadraticHamiltonian):
-        h = 0.5 * np.einsum("ij,ij->i", traj.x @ sys.ham.H.T, traj.x) + traj.x @ sys.ham.b + sys.ham.c
-    else:
-        h = np.array([ham_eval(sys.ham, s) for s in traj.x])
+    h = sys.ham.value(traj.x)
     dh = np.diff(h)
     dt = traj.dt
     dissipated = dt * np.einsum("ij,ij->i", traj.f_r, traj.e_r) if sys.n_r else np.zeros(traj.steps)
@@ -357,11 +320,8 @@ class StrongAudit:
 
     @property
     def max_defect(self):
-        worst = 0.0
-        for a in (self.dirac_defects, self.resistive_defects):
-            if a.size:
-                worst = max(worst, float(np.max(a)))
-        return worst
+        worst = np.maximum(self.dirac_defects, self.resistive_defects)
+        return float(worst.max()) if worst.size else 0.0
 
     @property
     def max_normalized(self):
@@ -369,9 +329,11 @@ class StrongAudit:
 
     @property
     def argmax_time(self):
-        if not self.dirac_defects.size:
+        """Time of the node with the largest defect of either kind."""
+        if not self.t.size:
             return None
-        return float(self.t[int(np.argmax(self.dirac_defects))])
+        worst = np.maximum(self.dirac_defects, self.resistive_defects)
+        return float(self.t[int(np.argmax(worst))])
 
     def as_dict(self):
         return {
@@ -387,19 +349,11 @@ def strong_trajectory_audit(sys, traj):
     traj.check_shapes(sys)
     if traj.steps < 2:
         raise StructureError("pointwise audit needs at least two steps")
-    dt = traj.dt
-    n_interior = traj.steps - 1
-    dirac_defects = np.empty(n_interior)
-    resistive_defects = np.empty(n_interior)
-    for k in range(1, traj.steps):
-        xdot = (traj.x[k + 1] - traj.x[k - 1]) / (2.0 * dt)
-        res = strong_residual(
-            sys, traj.x[k], xdot,
-            f_r=traj.f_r[k - 1], e_r=traj.e_r[k - 1],
-            f_p=traj.f_p[k - 1], e_p=traj.e_p[k - 1],
-        )
-        dirac_defects[k - 1] = res.dirac_defect
-        resistive_defects[k - 1] = res.resistive_defect
+    xdot = (traj.x[2:] - traj.x[:-2]) / (2.0 * traj.dt)
+    # each interior node k pairs with the preceding interval's channel values
+    dirac_defects, resistive_defects = _inclusion_defects(
+        sys, traj.x[1:-1], xdot, traj.f_r[:-1], traj.e_r[:-1], traj.f_p[:-1], traj.e_p[:-1],
+    )
     return StrongAudit(
         t=traj.t[1:-1],
         dirac_defects=dirac_defects,

@@ -166,8 +166,6 @@ def test_diffusion_spec_validation():
         DiffusionSpec(N=1)
     with pytest.raises(pk.StructureError):
         diffusion_system(DiffusionSpec(N=4, a_coeff=lambda xi: -np.ones_like(xi)))
-    with pytest.raises(pk.StructureError):
-        DiffusionSpec(N=4, domain_shape="rectangle")
 
 
 def test_diffusion_insulated_constant_state_is_steady():

@@ -156,3 +156,55 @@ def test_modulated_residual_uses_state():
     # at x = 1 the relation is e = -2 f
     assert resistive_residual(rel, np.array([1.0]), [1.0], [-2.0]) == pytest.approx(0.0)
     assert resistive_residual(rel, np.array([0.0]), [1.0], [-2.0]) == pytest.approx(1.0)
+
+
+def _relations(rng):
+    """One relation of each kind, with the state width used for its x rows."""
+    base = rng.standard_normal((3, 3))
+    wide = rng.standard_normal((3, 2))
+    return {
+        "linear_graph": pk.LinearGraph(R=base @ base.T),
+        "parametric_square": pk.Parametric(A=base, B=-base),
+        "parametric_wide": pk.Parametric(A=wide, B=-2.0 * wide),
+        "modulated_graph": pk.Modulated(
+            family=lambda x: pk.LinearGraph(R=np.diag([1.0 + x[0] ** 2, 2.0, 0.5 + abs(x[1])])),
+            n_r=3,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["linear_graph", "parametric_square", "parametric_wide",
+                                  "modulated_graph"])
+def test_relation_batched_pair_and_distance_match_rows(rng, kind):
+    rel = _relations(rng)[kind]
+    m = 7
+    x = rng.standard_normal((m, 2))
+    v = rng.standard_normal((m, rel.n_aux))
+    f_b, e_b = rel.pair(v, x)
+    rows = [rel.pair(v[k], x[k]) for k in range(m)]
+    np.testing.assert_allclose(f_b, [r[0] for r in rows], rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(e_b, [r[1] for r in rows], rtol=1e-14, atol=1e-15)
+    # members of the relation sit at distance ~0, perturbed pairs do not
+    f_r = f_b + rng.standard_normal(f_b.shape)
+    e_r = e_b + rng.standard_normal(e_b.shape)
+    for f, e in ((f_b, e_b), (f_r, e_r)):
+        batched = rel.distance(x, f, e)
+        assert batched.shape == (m,)
+        reference = [resistive_residual(rel, x[k], f[k], e[k]) for k in range(m)]
+        np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-13)
+    assert np.max(rel.distance(x, f_b, e_b)) <= 1e-12
+    assert np.min(rel.distance(x, f_r, e_r)) > 1e-3
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "string"])
+def test_hamiltonian_batched_value_and_gradient_match_rows(rng, kind):
+    if kind == "quadratic":
+        a = rng.standard_normal((4, 4))
+        h = pk.QuadraticHamiltonian(H=a @ a.T, b=rng.standard_normal(4), c=0.7)
+    else:
+        h = pk.make_example("string", N=8, force="tanh")[0].ham
+    states = rng.standard_normal((9, h.dim))
+    np.testing.assert_allclose(h.value(states), [ham_eval(h, s) for s in states],
+                               rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(h.gradient(states), [ham_grad(h, s) for s in states],
+                               rtol=1e-14, atol=1e-14)

@@ -240,3 +240,23 @@ def test_cli_csv_input_signal(runner, tmp_path):
     traj = pk.load_trajectory(traj_path)
     assert traj.f_p[0, 0] == 0.0
     assert traj.f_p[-1, 0] == 1.0
+
+
+def test_cli_invalid_system_exits_1_for_every_command(runner, tmp_path):
+    good = tmp_path / "damped.json"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(good)])
+    traj_path = tmp_path / "traj.csv"
+    runner.invoke(main, ["simulate", str(good), "--x0", "1,0", "--t1", "0.1",
+                         "--dt", "1e-2", "--out", str(traj_path)])
+    doc = json.loads(good.read_text())
+    g = np.asarray(doc["G"])
+    g[:, 2] *= 2.0  # fails the Dirac validation
+    doc["G"] = g.tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    codes = [
+        runner.invoke(main, ["validate", str(bad)]).exit_code,
+        runner.invoke(main, ["simulate", str(bad), "--x0", "1,0", "--t1", "0.1"]).exit_code,
+        runner.invoke(main, ["check", str(bad), str(traj_path)]).exit_code,
+    ]
+    assert codes == [1, 1, 1]

@@ -88,15 +88,6 @@ def test_weak_residual_step_forced_vs_strong(forced):
     assert abs(audit.argmax_time - t_jump) <= 2 * dt
 
 
-def test_weak_residual_thread_env_matches_sequential(oscillator, monkeypatch):
-    traj = simulate(oscillator, [1.0, 0.0], None, (0.0, 1.0), SchemeConfig(dt=1e-3))
-    seq = weak_residual(oscillator, traj)
-    monkeypatch.setenv("PHS_KIT_THREADS", "4")
-    par = weak_residual(oscillator, traj)
-    assert par.max_residual == seq.max_residual
-    assert np.array_equal(par.residuals, seq.residuals)
-
-
 def test_energy_report_lossless(oscillator):
     traj = simulate(oscillator, [1.0, 0.0], None, (0.0, 2.0), SchemeConfig(dt=1e-3))
     report = energy_report(oscillator, traj)
@@ -188,3 +179,50 @@ def test_strong_audit_smooth_floor_is_first_order(damped):
         audits.append(strong_trajectory_audit(damped, traj).max_defect)
     assert audits[0] < 1e-3
     assert 1.5 <= audits[0] / audits[1] <= 2.5
+
+
+def _audit_cases():
+    damped = pk.damped_oscillator(1.0)
+    diffusion, _ = pk.diffusion_system(pk.DiffusionSpec(N=6))
+    parametric = pk.assemble(damped.dirac, damped.ham,
+                             pk.Parametric(A=[[1.0]], B=[[-1.0]]), ())
+    modulated = pk.assemble(
+        damped.dirac, damped.ham,
+        pk.Modulated(family=lambda x: pk.LinearGraph(R=[[1.0 + x[0] ** 2]]), n_r=1), (),
+    )
+    string, _ = pk.make_example("string", N=8, force="tanh")
+    bump = np.concatenate([np.zeros(9), 0.5 * np.exp(-((np.arange(8) - 3.5) / 2.0) ** 2)])
+    return {
+        "damped": (damped, [1.0, 0.0], None),
+        "diffusion": (diffusion, np.linspace(-1.0, 2.0, 6), {0: 0.3}),
+        "parametric": (parametric, [1.0, 0.0], None),
+        "modulated": (modulated, [1.0, 0.0], None),
+        "string": (string, bump, {1: 0.2}),
+    }
+
+
+@pytest.mark.parametrize("name", ["damped", "diffusion", "parametric", "modulated", "string"])
+def test_strong_audit_matches_per_node_reference(name):
+    sys_, x0, inputs = _audit_cases()[name]
+    traj = simulate(sys_, x0, inputs, (0.0, 0.2), SchemeConfig(dt=1e-2))
+    audit = strong_trajectory_audit(sys_, traj)
+    reference = [
+        pk.strong_residual(sys_, traj.x[k], (traj.x[k + 1] - traj.x[k - 1]) / (2 * traj.dt),
+                           f_r=traj.f_r[k - 1], e_r=traj.e_r[k - 1],
+                           f_p=traj.f_p[k - 1], e_p=traj.e_p[k - 1])
+        for k in range(1, traj.steps)
+    ]
+    for got, want in ((audit.dirac_defects, [r.dirac_defect for r in reference]),
+                      (audit.resistive_defects, [r.resistive_defect for r in reference])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * audit.normalization)
+
+
+def test_strong_audit_argmax_includes_resistive_defects():
+    # a damping-1 run audited against damping 3: the resistive defect dominates
+    traj = simulate(pk.damped_oscillator(1.0), [1.0, 0.0], None, (0.0, 2.0),
+                    SchemeConfig(dt=1e-2))
+    audit = strong_trajectory_audit(pk.damped_oscillator(3.0), traj)
+    k = int(np.argmax(audit.resistive_defects))
+    assert audit.max_defect == audit.resistive_defects[k] > np.max(audit.dirac_defects)
+    assert audit.argmax_time == audit.t[k]
+    assert audit.argmax_time == pytest.approx(1.21)

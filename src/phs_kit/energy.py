@@ -2,13 +2,16 @@
 
 This module alone knows which energy and relation types exist; the
 simulator, the audits and the file layer use only these methods.  An energy
-has ``value`` and ``gradient`` on one state (n_s,) or a batch (m, n_s), and
-``to_dict`` (None when it has no file form).  A relation has ``n_aux`` (its
-auxiliary unknowns in a time step), ``at(x)`` (the concrete relation at a
-state), ``pair(v, x)`` -> (f_R, e_R), ``check(tol, states)`` ->
-ResistiveValidation, ``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair``
-and ``distance`` take one vector or a batch over leading axes; the state x
-matters only to a Modulated relation, which resolves a batch row by row.
+has ``value`` and ``gradient`` on one state (n_s,) or a batch (m, n_s),
+``discrete_gradient(x, y)``, ``linear_gradient()`` -> (H, b) when its
+gradient is the affine map H x + b (else None), and ``to_dict`` (None when it
+has no file form).  A relation has ``n_aux`` (its auxiliary unknowns in a
+time step), ``at(x)`` (the concrete relation at a state), ``pair(v, x)`` ->
+(f_R, e_R), ``linear_maps()`` -> (A, B) when f_R = A v and e_R = B v at
+every state (else None), ``check(tol, states)`` -> ResistiveValidation,
+``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair`` and ``distance`` take
+one vector or a batch over leading axes; the state x matters only to a
+Modulated relation, which resolves a batch row by row.
 """
 
 from dataclasses import dataclass
@@ -73,6 +76,19 @@ class QuadraticHamiltonian:
         """Gradient of a state, or of each row of a batch."""
         return np.asarray(x, dtype=float) @ self.H.T + self.b
 
+    def discrete_gradient(self, x, y):
+        """The midpoint gradient: for a quadratic energy it is an exact discrete gradient.
+
+        grad H((x+y)/2)·(y-x) = H(y) - H(x) holds in exact arithmetic for
+        symmetric H, so no chord correction (a difference of energies divided
+        by |y-x|^2, which amplifies roundoff) is applied.
+        """
+        return self.gradient(0.5 * (x + y))
+
+    def linear_gradient(self):
+        """(H, b): the gradient is the affine map H x + b."""
+        return self.H, self.b
+
     def to_dict(self):
         """Inline file form."""
         return {"type": "quadratic", "H": self.H.tolist(), "b": self.b.tolist(), "c": self.c}
@@ -115,6 +131,25 @@ class GeneralHamiltonian:
             raise StructureError(f"gradient must have length {self.dim}, got {g.shape}")
         return g
 
+    def discrete_gradient(self, x, y):
+        """Midpoint gradient with chord correction.
+
+        Returns g = grad H(m) + (H(y) - H(x) - grad H(m)·(y-x)) (y-x)/|y-x|^2
+        with m the midpoint, so that g·(y-x) = H(y) - H(x) holds to roundoff.
+        For x == y this is grad H(x).
+        """
+        d = y - x
+        nd2 = float(d @ d)
+        g_mid = self.gradient(0.5 * (x + y))
+        if nd2 == 0.0:
+            return g_mid
+        correction = (self.value(y) - self.value(x) - g_mid @ d) / nd2
+        return g_mid + correction * d
+
+    def linear_gradient(self):
+        """None: the gradient of a general energy is not known to be affine."""
+        return None
+
     def to_dict(self):
         """None: user callables have no file form (see ``hamiltonian_spec``)."""
         return None
@@ -137,21 +172,17 @@ def ham_grad(h, x):
 
 
 def discrete_gradient(h, x, y):
-    """Midpoint discrete gradient with chord correction.
+    """Discrete gradient g of the energy between states x and y.
 
-    Returns g = grad H(m) + (H(y) - H(x) - grad H(m)·(y-x)) (y-x)/|y-x|^2
-    with m the midpoint, so that g·(y-x) = H(y) - H(x) holds to roundoff.
-    For x == y this is grad H(x); for quadratic H the correction vanishes.
+    g·(y-x) = H(y) - H(x), and g = grad H(x) for x == y.  A quadratic energy
+    returns the midpoint gradient, which satisfies this exactly; a general
+    one adds the chord correction, which satisfies it to roundoff.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = y - x
-    nd2 = float(d @ d)
-    g_mid = ham_grad(h, 0.5 * (x + y))
-    if nd2 == 0.0:
-        return g_mid
-    correction = (ham_eval(h, y) - ham_eval(h, x) - g_mid @ d) / nd2
-    return g_mid + correction * d
+    if x.shape != (h.dim,) or y.shape != (h.dim,):
+        raise StructureError(f"states must have length {h.dim}, got {x.shape} and {y.shape}")
+    return h.discrete_gradient(x, y)
 
 
 def check_gradient(h, points, step=1e-6, rtol=1e-5):
@@ -241,6 +272,10 @@ class LinearGraph:
         """(f_R, e_R) = (v, -R v)."""
         return v, self.effort(v)
 
+    def linear_maps(self):
+        """(I, -R): f_R = v and e_R = -R v."""
+        return np.eye(self.n_r), -self.R
+
     def check(self, tol=1e-10, states=None):
         """Passes iff sym(R) >= -tol * max(1, max|R|)."""
         lo, hi, scale = _sym_eigrange(self.R)
@@ -292,6 +327,10 @@ class Parametric:
         """(f_R, e_R) = (A λ, B λ) for λ = v."""
         return v @ self.A.T, v @ self.B.T
 
+    def linear_maps(self):
+        """(A, B): f_R = A λ and e_R = B λ."""
+        return self.A, self.B
+
     def check(self, tol=1e-10, states=None):
         """Passes iff sym(A^T B) <= tol * max(1, max|A^T B|)."""
         lo, hi, scale = _sym_eigrange(self.A.T @ self.B)
@@ -342,6 +381,10 @@ class Modulated:
         for k, (x_k, v_k) in enumerate(zip(x, v)):
             f_r[k], e_r[k] = self.at(x_k).pair(v_k)
         return f_r, e_r
+
+    def linear_maps(self):
+        """None: the maps depend on the state."""
+        return None
 
     def check(self, tol=1e-10, states=None):
         """Checks the family member at every sample state (required)."""

@@ -1,6 +1,6 @@
 """Structure-preserving implicit time stepping for port-Hamiltonian DAEs.
 
-Each step solves the square nonlinear system
+Each step solves the square system
 
     F (-(x1 - x0)/dt; f_R; f_P) + G (g; e_R; e_P) = 0
 
@@ -8,14 +8,24 @@ for the next state, the resistive unknowns and the free port halves, where g
 is grad H at the interval midpoint (implicit_midpoint) or the discrete
 gradient between the endpoint states (discrete_gradient).  The discrete
 gradient makes the per-step energy balance an exact identity.
+
+The step map is affine when the Hamiltonian is quadratic (its
+``linear_gradient()`` is not None) and the resistive relation is absent or
+linear and state-independent (its ``linear_maps()`` is not None): both
+schemes then use g = H (x0 + x1)/2 + b, and the residual is K z + L x0 + P u
++ c with matrices built once per ``simulate``.  Newton receives K as the exact
+Jacobian and takes one iteration per step.  Every other system runs the same
+Newton loop with a finite-difference Jacobian.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrs
 
 from ._linalg import EPS, null_space_basis
 from .energy import discrete_gradient, ham_grad
@@ -38,17 +48,13 @@ class SchemeConfig:
 
     ``newton_tol`` bounds the per-step residual relative to the step's own
     scale: convergence requires ||residual||_2 <= newton_tol * (1 + r0) with
-    r0 the residual norm at the predictor.  ``jacobian`` is either the string
-    "finite_difference" (forward differences with step sqrt(eps)*(1+||z||))
-    or a callable ``(residual, z) -> (n, n)`` supplying the Jacobian of the
-    per-step residual.
+    r0 the residual norm at the predictor.
     """
 
     scheme: str = "implicit_midpoint"
     dt: float = 1e-3
     newton_tol: float = 1e-12
     newton_max_iter: int = 30
-    jacobian: Union[str, Callable] = "finite_difference"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -59,22 +65,21 @@ class SchemeConfig:
             raise StructureError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise StructureError("newton_max_iter must be >= 1")
-        if not callable(self.jacobian) and self.jacobian != "finite_difference":
-            raise StructureError("jacobian must be 'finite_difference' or a callable")
 
 
 def _channels(sys, effort_prescribed, v, x, prescribed):
     """Resolve (f_R, e_R, f_P, e_P) at state x from the auxiliary unknowns.
 
     ``v`` holds the relation's n_aux unknowns followed by the free half of
-    each port channel; ``prescribed`` holds the other halves.
+    each port channel; ``prescribed`` holds the other halves.  All three may
+    be batches with one row per step.
     """
-    n_aux = v.size - effort_prescribed.size
+    n_aux = v.shape[-1] - effort_prescribed.size
     if sys.res is None:
-        f_r = e_r = np.zeros(0)
+        f_r = e_r = np.zeros(v.shape[:-1] + (0,))
     else:
-        f_r, e_r = sys.res.pair(v[:n_aux], x)
-    v_p = v[n_aux:]
+        f_r, e_r = sys.res.pair(v[..., :n_aux], x)
+    v_p = v[..., n_aux:]
     f_p = np.where(effort_prescribed, v_p, prescribed)
     e_p = np.where(effort_prescribed, prescribed, v_p)
     return f_r, e_r, f_p, e_p
@@ -83,22 +88,6 @@ def _channels(sys, effort_prescribed, v, x, prescribed):
 def _aux_count(sys):
     """Auxiliary unknowns of a step besides the state: relation, then free port halves."""
     return (0 if sys.res is None else sys.res.n_aux) + sys.n_p
-
-
-def _step_residual(sys, use_dg, effort_prescribed, x0, dt, prescribed):
-    """Residual of one step in z = (next state, auxiliary unknowns of ``_channels``)."""
-    d, n_s = sys.dirac, x0.size
-
-    def residual(z):
-        x1 = z[:n_s]
-        x_mid = 0.5 * (x0 + x1)
-        g = discrete_gradient(sys.ham, x0, x1) if use_dg else ham_grad(sys.ham, x_mid)
-        f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, z[n_s:], x_mid, prescribed)
-        flows = np.concatenate([-(x1 - x0) / dt, f_r, f_p])
-        efforts = np.concatenate([g, e_r, e_p])
-        return d.F @ flows + d.G @ efforts
-
-    return residual
 
 
 def _fd_jacobian(residual, z, r0=None):
@@ -113,11 +102,82 @@ def _fd_jacobian(residual, z, r0=None):
     return jac
 
 
+class _AffineStep:
+    """Step residual r(z) = K z + L x_k + P u_k + c of an affine step map.
+
+    z = (x_{k+1}, v_R, v_P).  With g = H (x_k + x_{k+1})/2 + b, f_R = A v_R,
+    e_R = B v_R and D_m the mask of effort-prescribed channels:
+    K = [-F_s/dt + G_s H/2, F_r A + G_r B, F_p D_m + G_p (I - D_m)],
+    L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s b.
+    """
+
+    name = "affine"
+
+    def __init__(self, sys, linear_gradient, linear_maps, effort_prescribed, dt, prescribed):
+        d = sys.dirac
+        h, b = linear_gradient
+        a, b_r = linear_maps
+        m = effort_prescribed.astype(float)
+        half_gh = 0.5 * (d.G_s @ h)
+        self.K = np.hstack([-d.F_s / dt + half_gh, d.F_r @ a + d.G_r @ b_r,
+                            d.F_p * m + d.G_p * (1.0 - m)])
+        self.L = d.F_s / dt + half_gh
+        # w_k = P u_k + c of every step, in one pass
+        self.w = prescribed @ (d.F_p * (1.0 - m) + d.G_p * m).T + d.G_s @ b
+        self.rhs = None
+
+    def start(self, k, x_k):
+        self.rhs = self.L @ x_k + self.w[k]
+
+    def residual(self, z):
+        return self.K @ z + self.rhs
+
+    def jacobian(self, z, r):
+        return self.K
+
+
+class _NewtonStep:
+    """Step residual of any other system; its Jacobian is built by finite differences."""
+
+    name = "newton"
+
+    def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
+        self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
+        self.dt, self.prescribed = dt, prescribed
+        self.x0 = self.u = None
+
+    def start(self, k, x_k):
+        self.x0, self.u = x_k, self.prescribed[k]
+
+    def residual(self, z):
+        sys, x0 = self.sys, self.x0
+        x1 = z[: x0.size]
+        x_mid = 0.5 * (x0 + x1)
+        g = discrete_gradient(sys.ham, x0, x1) if self.use_dg else ham_grad(sys.ham, x_mid)
+        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:], x_mid, self.u)
+        flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
+        efforts = np.concatenate([g, e_r, e_p])
+        return sys.dirac.F @ flows + sys.dirac.G @ efforts
+
+    def jacobian(self, z, r):
+        return _fd_jacobian(self.residual, z, r)
+
+
+def _step_map(sys, use_dg, effort_prescribed, dt, prescribed):
+    """The affine step map when the energy and the relation allow it, else the Newton one."""
+    linear_gradient = sys.ham.linear_gradient()
+    linear_maps = (np.zeros((0, 0)),) * 2 if sys.res is None else sys.res.linear_maps()
+    if linear_gradient is None or linear_maps is None:
+        return _NewtonStep(sys, use_dg, effort_prescribed, dt, prescribed)
+    return _AffineStep(sys, linear_gradient, linear_maps, effort_prescribed, dt, prescribed)
+
+
 class _NewtonSolver:
     """Newton iteration with a Jacobian (LU) cached across steps.
 
-    The factorization is rebuilt when progress stalls; for affine problems the
-    first factorization is exact and is reused for the whole run.
+    The step map supplies the residual and its Jacobian.  The factorization
+    is rebuilt when progress stalls; for affine problems the first
+    factorization is exact and is reused for the whole run.
     """
 
     def __init__(self, cfg):
@@ -125,14 +185,10 @@ class _NewtonSolver:
         self.lu = None
         self.rebuilds = 0
         self.condition = None
+        self.iterations = 0
 
-    def _refresh(self, residual, z, r):
-        if callable(self.cfg.jacobian):
-            jac = np.asarray(self.cfg.jacobian(residual, z), dtype=float)
-        else:
-            jac = _fd_jacobian(residual, z, r)
-        if self.condition is None:
-            self.condition = float(np.linalg.cond(jac))
+    def _refresh(self, step_map, z, r):
+        jac = step_map.jacobian(z, r)
         try:
             with warnings.catch_warnings():
                 # a zero pivot surfaces as a non-finite iterate handled below
@@ -140,13 +196,26 @@ class _NewtonSolver:
                 self.lu = scipy.linalg.lu_factor(jac)
         except (ValueError, scipy.linalg.LinAlgError) as exc:
             raise NewtonError(f"singular or non-finite step Jacobian: {exc}") from exc
+        if self.condition is None:
+            # 1-norm estimate from the factors: O(n^2), where cond's SVD is O(n^3)
+            rcond, _ = dgecon(self.lu[0], np.linalg.norm(jac, 1))
+            self.condition = 1.0 / rcond if rcond > 0 else math.inf
         self.rebuilds += 1
 
-    def solve(self, residual, z0, step=None):
+    def _lu_solve(self, r):
+        # the LAPACK routine behind scipy.linalg.lu_solve, without its
+        # per-call wrapper; the residual norm is checked finite before every solve
+        dz, info = dgetrs(*self.lu, r)
+        if info != 0:
+            raise NewtonError(f"LU solve failed (LAPACK getrs info {info})")
+        return dz
+
+    def solve(self, step_map, z0, step=None):
         cfg = self.cfg
+        residual = step_map.residual
         z = np.array(z0, dtype=float)
         r = residual(z)
-        norm = float(np.linalg.norm(r))
+        norm = math.sqrt(r @ r)
         # tolerance relative to the step's own residual scale so the roundoff
         # floor of the 1/dt term cannot sit above an absolute newton_tol
         tol = cfg.newton_tol * (1.0 + norm)
@@ -154,26 +223,24 @@ class _NewtonSolver:
         for _ in range(cfg.newton_max_iter):
             if norm <= tol:
                 return z, norm
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 raise NewtonError("step residual is not finite", step=step, residual=norm)
             refreshed = False
             if self.lu is None:
-                self._refresh(residual, z, r)
+                self._refresh(step_map, z, r)
                 iters_since_refresh = 0
                 refreshed = True
-            dz = scipy.linalg.lu_solve(self.lu, r)
-            z_new = z - dz
+            z_new = z - self._lu_solve(r)
             r_new = residual(z_new)
-            norm_new = float(np.linalg.norm(r_new))
+            norm_new = math.sqrt(r_new @ r_new)
             if (not norm_new <= 0.5 * norm) and norm_new > tol and iters_since_refresh > 0:
                 # stale cached Jacobian: rebuild at the current iterate and retry
-                self._refresh(residual, z, r)
+                self._refresh(step_map, z, r)
                 iters_since_refresh = 0
                 refreshed = True
-                dz = scipy.linalg.lu_solve(self.lu, r)
-                z_new = z - dz
+                z_new = z - self._lu_solve(r)
                 r_new = residual(z_new)
-                norm_new = float(np.linalg.norm(r_new))
+                norm_new = math.sqrt(r_new @ r_new)
             if refreshed and norm_new > tol and norm_new >= 0.9 * norm:
                 raise NewtonError(
                     f"Newton stalled at residual {norm_new:.3e} with a fresh Jacobian "
@@ -184,6 +251,7 @@ class _NewtonSolver:
                 )
             z, r, norm = z_new, r_new, norm_new
             iters_since_refresh += 1
+            self.iterations += 1
         if norm <= tol:
             return z, norm
         raise NewtonError(
@@ -309,6 +377,11 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     handled without event detection.  Newton must reach ``cfg.newton_tol``
     (2-norm of the step residual) on every step.
 
+    The metadata records the step map ("affine" or "newton", see the module
+    docstring), the Newton iterations summed over all steps, the largest
+    converged step residual, the Jacobian rebuilds, and a 1-norm estimate of
+    the condition number of the first step Jacobian.
+
     Raises
     ------
     NewtonError
@@ -327,48 +400,55 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     inputs = PortSignal.coerce(port_inputs)
     inputs.validate_channels(sys)
 
-    n_s, n_r, n_p = sys.n_s, sys.n_r, sys.n_p
+    n_s, n_p = sys.n_s, sys.n_p
     n_aux = _aux_count(sys)
     if n_s + n_aux != sys.n:
         raise StructureError(
             f"the resistive relation needs n_aux = n_r for time stepping (the step "
             f"system has {n_s + n_aux} unknowns for n = {sys.n} equations)"
         )
-    use_dg = cfg.scheme == "discrete_gradient"
     effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
+    prescribed = np.empty((n_steps, n_p))
+    for i in range(n_p):
+        prescribed[:, i] = np.fromiter(
+            (inputs.value(i, t0 + (k + 0.5) * dt) for k in range(n_steps)), float, n_steps)
+    step_map = _step_map(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt,
+                         prescribed)
     solver = _NewtonSolver(cfg)
 
     t = t0 + dt * np.arange(n_steps + 1)
     x = np.empty((n_steps + 1, n_s))
-    f_r = np.empty((n_steps, n_r))
-    e_r = np.empty((n_steps, n_r))
-    f_p = np.empty((n_steps, n_p))
-    e_p = np.empty((n_steps, n_p))
+    v = np.empty((n_steps, n_aux))
     x[0] = x0
 
     z = np.concatenate([x0, np.zeros(n_aux)])
     max_residual = 0.0
     for k in range(n_steps):
-        t_mid = t0 + (k + 0.5) * dt
-        prescribed = np.array([inputs.value(i, t_mid) for i in range(n_p)], dtype=float)
-        residual = _step_residual(sys, use_dg, effort_prescribed, x[k], dt, prescribed)
+        step_map.start(k, x[k])
         z[:n_s] = x[k]  # predictor: previous state, previous auxiliaries
         try:
-            z, res_norm = solver.solve(residual, z, step=k)
+            z, res_norm = solver.solve(step_map, z, step=k)
         except NewtonError as exc:
             exc.step = k
             raise
         x[k + 1] = z[:n_s]
-        x_mid = 0.5 * (x[k] + x[k + 1])
-        f_r[k], e_r[k], f_p[k], e_p[k] = _channels(sys, effort_prescribed, z[n_s:], x_mid,
-                                                    prescribed)
+        v[k] = z[n_s:]
         max_residual = max(max_residual, res_norm)
+    step_map_name = step_map.name
+    # release the affine map's right-hand sides (n_steps x n floats) before the
+    # channel arrays are built
+    del step_map
+    x_mid = x[:-1] + x[1:]
+    x_mid *= 0.5
+    f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x_mid, prescribed)
 
     metadata = {
         "scheme": cfg.scheme,
         "dt": dt,
         "dt_requested": cfg.dt,
         "newton_tol": cfg.newton_tol,
+        "step_map": step_map_name,
+        "newton_iterations": solver.iterations,
         "max_step_residual": max_residual,
         "jacobian_rebuilds": solver.rebuilds,
         "jacobian_condition": solver.condition,

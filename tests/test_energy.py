@@ -71,6 +71,15 @@ def test_discrete_gradient_quadratic_reduces_to_midpoint(rng):
         assert g == pytest.approx(expected, abs=1e-12)
 
 
+def test_discrete_gradient_quadratic_is_midpoint_gradient_at_close_states(rng):
+    # a chord correction would divide roundoff in H(y) - H(x) by |y - x|^2
+    h = pk.QuadraticHamiltonian(H=np.array([[2.0, 0.5], [0.5, 1.0]]), b=[0.1, -0.2], c=0.3)
+    for _ in range(20):
+        x = rng.standard_normal(2)
+        y = x + 1e-9 * rng.standard_normal(2)
+        np.testing.assert_array_equal(discrete_gradient(h, x, y), h.gradient(0.5 * (x + y)))
+
+
 def test_discrete_gradient_chord_identity(rng):
     h = quartic()
     for _ in range(100):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,89 @@ def test_simulate_modulated_relation():
     report = pk.energy_report(sys_, traj)
     assert report.max_abs_gap <= 1e-10
     assert np.all(report.dissipated <= 1e-14)
+
+
+def as_general(sys_):
+    """The same system with its quadratic energy behind user callables (Newton path)."""
+    h = sys_.ham
+    general = pk.GeneralHamiltonian(value_fn=h.value, gradient_fn=h.gradient, dim=h.dim)
+    return dataclasses.replace(sys_, ham=general)
+
+
+def parametric_damper():
+    """Damped oscillator whose resistive port is the image relation f_R = 2 λ, e_R = -λ."""
+    damped = pk.damped_oscillator(1.0)
+    return pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[2.0]], B=[[-1.0]]), ())
+
+
+def sin_force(t):
+    return 0.3 * math.sin(2.0 * t + 0.5)
+
+
+def diffusion_case():
+    sys_, _ = pk.make_example("diffusion", N=16)
+    x0 = np.sin(np.arange(16.0))
+    return sys_, x0, {0: 0.3, 1: lambda t: -0.2 * math.sin(3.0 * t)}
+
+
+def affine_cases():
+    diffusion, x0_diffusion, u_diffusion = diffusion_case()
+    return {
+        "damped": (pk.damped_oscillator(1.0), [1.0, 0.0], None),
+        "forced_sin": (pk.forced_oscillator(), [0.6, -0.8], {0: sin_force}),
+        "diffusion_16": (diffusion, x0_diffusion, u_diffusion),
+        "parametric": (parametric_damper(), [1.0, 0.5], None),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+def test_affine_step_map_matches_newton_reference(case, scheme):
+    sys_, x0, inputs = affine_cases()[case]
+    cfg = SchemeConfig(scheme=scheme, dt=1e-3)
+    fast = simulate(sys_, x0, inputs, (0.0, 2.0), cfg)
+    ref = simulate(as_general(sys_), x0, inputs, (0.0, 2.0), cfg)
+    assert fast.metadata["step_map"] == "affine"
+    assert ref.metadata["step_map"] == "newton"
+    for name in ("x", "f_r", "e_r", "f_p", "e_p"):
+        expected = getattr(ref, name)
+        # rtol per sample, plus the same rtol on the array's scale for
+        # samples that cross zero
+        np.testing.assert_allclose(getattr(fast, name), expected, rtol=1e-10,
+                                   atol=1e-10 * np.max(np.abs(expected), initial=0.0))
+
+
+def test_step_map_follows_energy_and_relation():
+    damped = pk.damped_oscillator(1.0)
+    modulated = pk.assemble(
+        damped.dirac, damped.ham,
+        pk.Modulated(family=lambda x: pk.LinearGraph(R=[[1.0 + x[0] ** 2]]), n_r=1), (),
+    )
+    string, _ = pk.make_example("string", N=4, force="linear")
+    expected = {"affine": [pk.oscillator(), damped, pk.forced_oscillator(), parametric_damper()],
+                "newton": [modulated, as_general(damped), string]}
+    for step_map, systems in expected.items():
+        for sys_ in systems:
+            traj = simulate(sys_, np.full(sys_.n_s, 0.5), None, (0.0, 0.01), SchemeConfig())
+            assert traj.metadata["step_map"] == step_map
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+@pytest.mark.parametrize("name", ["damped_oscillator", "forced_oscillator"])
+def test_affine_steps_take_one_newton_iteration(name, scheme):
+    sys_, _ = pk.make_example(name)
+    inputs = {0: sin_force} if sys_.n_p else None
+    traj = simulate(sys_, [0.6, -0.8], inputs, (0.0, 5.0), SchemeConfig(scheme=scheme, dt=1e-3))
+    assert traj.metadata["newton_iterations"] == traj.steps
+    assert traj.metadata["jacobian_rebuilds"] == 1
+
+
+def test_dg_forced_oscillator_near_moving_equilibrium():
+    # the state passes close to the force's moving equilibrium, where a
+    # chord-corrected discrete gradient stalled Newton at its roundoff floor
+    force = {0: lambda t: 0.88 * math.sin(2.5 * t + 1.1)}
+    sys_ = pk.forced_oscillator()
+    cfg = SchemeConfig(scheme="discrete_gradient", dt=1e-3)
+    traj = simulate(sys_, [-0.84, 0.21], force, (0.0, 10.0), cfg)
+    assert traj.steps == 10_000
+    assert pk.energy_report(sys_, traj).max_abs_gap <= 1e-12

@@ -124,8 +124,7 @@ def make_example(name, **params):
         scale = float(params.get("scale", 1.0))
         rho = float(params.get("rho", 1.0))
         interval = tuple(params.get("interval", (0.0, 1.0)))
-        if force not in FORCE_KINDS:
-            raise StructureError(f"unknown force kind {force!r}; choose from {sorted(FORCE_KINDS)}")
+        force_spec = _string_force_spec(force, scale)
         spec = StringSpec(N=n, interval=interval, rho=rho, force=FORCE_KINDS[force](scale))
         sys, grid = string_system(spec)
         sys.metadata["hamiltonian_spec"] = {
@@ -135,7 +134,7 @@ def make_example(name, **params):
                 "N": n,
                 "interval": list(interval),
                 "rho": rho,
-                "force": _string_force_spec(force, scale),
+                "force": force_spec,
             },
         }
         return sys, {"h": grid["h"], "N": n, "force": force}

@@ -175,14 +175,6 @@ class DiracValidation:
     sigma_min: float
     threshold: float
 
-    @property
-    def rank_ok(self):
-        return self.rank == self.rank_required
-
-    @property
-    def skew_ok(self):
-        return self.skew_defect <= self.tol
-
     def as_dict(self):
         return {
             "passed": bool(self.passed),
@@ -235,37 +227,25 @@ def validate_kernel(rep, tol=1e-10):
     -------
     DiracValidation
     """
-    if tol <= 0:
-        raise StructureError("tol must be positive")
-    skew = rep.F @ rep.G.T + rep.G @ rep.F.T
-    defect = float(np.max(np.abs(skew))) if skew.size else 0.0
-    rank, svals, threshold = numerical_rank(np.hstack([rep.F, rep.G]))
-    sigma_min = float(svals[-1]) if svals.size else 0.0
-    passed = (rank == rep.n) and (defect <= tol)
-    return DiracValidation(
-        passed=passed,
-        rank=rank,
-        rank_required=rep.n,
-        skew_defect=defect,
-        tol=float(tol),
-        sigma_min=sigma_min,
-        threshold=threshold,
-    )
+    return _validate(rep.F @ rep.G.T + rep.G @ rep.F.T, np.hstack([rep.F, rep.G]), rep.n, tol)
 
 
 def validate_image(rep, tol=1e-10):
     """Check rank [K; L] = n and K^T L + L^T K = 0 for an image representation."""
+    return _validate(rep.K.T @ rep.L + rep.L.T @ rep.K, np.vstack([rep.K, rep.L]), rep.n, tol)
+
+
+def _validate(skew, stacked, n, tol):
+    """Validation from the symmetric defect matrix and the stacked representation."""
     if tol <= 0:
         raise StructureError("tol must be positive")
-    skew = rep.K.T @ rep.L + rep.L.T @ rep.K
     defect = float(np.max(np.abs(skew))) if skew.size else 0.0
-    rank, svals, threshold = numerical_rank(np.vstack([rep.K, rep.L]))
+    rank, svals, threshold = numerical_rank(stacked)
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    passed = (rank == rep.n) and (defect <= tol)
     return DiracValidation(
-        passed=passed,
+        passed=(rank == n) and (defect <= tol),
         rank=rank,
-        rank_required=rep.n,
+        rank_required=n,
         skew_defect=defect,
         tol=float(tol),
         sigma_min=sigma_min,

@@ -5,15 +5,18 @@ matrices in row-major order, the Hamiltonian (inline quadratic data or a
 declarative "builtin" reference), the resistive relation, the per-channel
 causality and free-form metadata.
 
-TrajectoryFileV1: CSV with header ``t, x_0.., fR_0.., eR_0.., fP_0.., eP_0..``
+TrajectoryFileV1: CSV with header ``t,x_0..,fR_0..,eR_0..,fP_0..,eP_0..``
 and one row per grid node; channel columns carry the preceding interval's
-value and are blank on the first row.  Floats are serialized with 17
-significant digits, so write -> read round-trips bit-identically.
+value and are blank on the first row.  The header must be exactly this
+canonical one (no reordered, repeated, renumbered or padded names), fields are
+plain unquoted numbers, and only trailing blank lines are allowed; LF and CRLF
+line endings both read.  Floats are serialized with 17 significant
+digits, so write -> read round-trips bit-identically.
 """
 
-import csv
-import io
 import json
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -40,10 +43,6 @@ SYSTEM_FILE_VERSION = "1"
 
 class FileFormatError(ValueError):
     """Malformed or unsupported system/trajectory file."""
-
-
-def _fmt(value):
-    return format(float(value), ".17g")
 
 
 def _matrix(data, name):
@@ -97,50 +96,39 @@ def parse_system_dict(doc):
     try:
         dims = doc["dims"]
         n_s, n_r, n_p = int(dims["n_s"]), int(dims["n_r"]), int(dims["n_p"])
-        f_mat = _matrix(doc["F"], "F")
-        g_mat = _matrix(doc["G"], "G")
+        dirac = DiracKernelRep(F=_matrix(doc["F"], "F"), G=_matrix(doc["G"], "G"),
+                               n_s=n_s, n_r=n_r, n_p=n_p)
         ham_doc = doc["hamiltonian"]
-        res_doc = doc.get("resistive", {"type": "none"})
-        causality = [str(c) for c in doc.get("causality", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"missing or malformed system field: {exc}") from exc
-
-    try:
-        dirac = DiracKernelRep(F=f_mat, G=g_mat, n_s=n_s, n_r=n_r, n_p=n_p)
-    except StructureError as exc:
-        raise FileFormatError(f"inconsistent system dimensions: {exc}") from exc
-
-    ham_spec = None
-    ham_type = ham_doc.get("type") if isinstance(ham_doc, dict) else None
-    if ham_type == "quadratic":
-        try:
+        ham_spec = None
+        ham_type = ham_doc.get("type") if isinstance(ham_doc, dict) else None
+        if ham_type == "quadratic":
             ham = QuadraticHamiltonian(
                 H=_matrix(ham_doc["H"], "hamiltonian.H"),
                 b=np.asarray(ham_doc.get("b", np.zeros(n_s)), dtype=float),
                 c=float(ham_doc.get("c", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"malformed quadratic Hamiltonian: {exc}") from exc
-    elif ham_type == "builtin":
-        try:
+        elif ham_type == "builtin":
             ham = builtin_hamiltonian(str(ham_doc["name"]), ham_doc.get("params", {}))
             ham_spec = {"type": "builtin", "name": str(ham_doc["name"]),
                         "params": ham_doc.get("params", {})}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"malformed builtin Hamiltonian: {exc}") from exc
-    else:
-        raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")
+        else:
+            raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")
 
-    res_type = res_doc.get("type") if isinstance(res_doc, dict) else None
-    if res_type in (None, "none"):
-        res = None
-    elif res_type == "linear_graph":
-        res = LinearGraph(R=_matrix(res_doc["R"], "resistive.R"))
-    elif res_type == "parametric":
-        res = Parametric(A=_matrix(res_doc["A"], "resistive.A"),
-                         B=_matrix(res_doc["B"], "resistive.B"))
-    else:
-        raise FileFormatError(f"unknown resistive type {res_type!r}")
+        res_doc = doc.get("resistive", {"type": "none"})
+        res_type = res_doc.get("type") if isinstance(res_doc, dict) else None
+        if res_type in (None, "none"):
+            res = None
+        elif res_type == "linear_graph":
+            res = LinearGraph(R=_matrix(res_doc["R"], "resistive.R"))
+        elif res_type == "parametric":
+            res = Parametric(A=_matrix(res_doc["A"], "resistive.A"),
+                             B=_matrix(res_doc["B"], "resistive.B"))
+        else:
+            raise FileFormatError(f"unknown resistive type {res_type!r}")
+        causality = [str(c) for c in doc.get("causality", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        # StructureError and FileFormatError are ValueErrors too
+        raise FileFormatError(f"missing or malformed system field: {exc}") from exc
 
     return {
         "dirac": dirac,
@@ -193,23 +181,14 @@ def _traj_header(n_s, n_r, n_p):
 
 def trajectory_to_csv(traj):
     """Render TrajectoryFileV1 as a string."""
-    n_s = traj.x.shape[1]
-    n_r = traj.f_r.shape[1]
-    n_p = traj.f_p.shape[1]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_traj_header(n_s, n_r, n_p))
-    blank = [""] * (2 * n_r + 2 * n_p)
-    writer.writerow([_fmt(traj.t[0])] + [_fmt(v) for v in traj.x[0]] + blank)
-    for k in range(traj.steps):
-        row = [_fmt(traj.t[k + 1])]
-        row += [_fmt(v) for v in traj.x[k + 1]]
-        row += [_fmt(v) for v in traj.f_r[k]]
-        row += [_fmt(v) for v in traj.e_r[k]]
-        row += [_fmt(v) for v in traj.f_p[k]]
-        row += [_fmt(v) for v in traj.e_p[k]]
-        writer.writerow(row)
-    return buf.getvalue()
+    n_s, n_r, n_p = traj.x.shape[1], traj.f_r.shape[1], traj.f_p.shape[1]
+    head = np.concatenate([traj.t[:1], traj.x[0]])
+    body = np.column_stack([traj.t[1:], traj.x[1:], traj.f_r, traj.e_r, traj.f_p, traj.e_p])
+    first = ",".join(["%.17g"] * head.size + [""] * (2 * n_r + 2 * n_p)) + "\n"
+    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
+    return (",".join(_traj_header(n_s, n_r, n_p)) + "\n"
+            + first % tuple(head.tolist())
+            + (row * traj.steps) % tuple(body.ravel().tolist()))
 
 
 def save_trajectory(traj, path):
@@ -217,50 +196,78 @@ def save_trajectory(traj, path):
         fh.write(trajectory_to_csv(traj))
 
 
-def trajectory_from_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError("empty trajectory file") from None
-    counts = {"x": 0, "fR": 0, "eR": 0, "fP": 0, "eP": 0}
-    if not header or header[0].strip() != "t":
-        raise FileFormatError("trajectory header must start with 't'")
-    for name in header[1:]:
-        base = name.strip().split("_")[0]
-        if base not in counts:
-            raise FileFormatError(f"unexpected trajectory column {name!r}")
-        counts[base] += 1
-    n_s, n_r, n_p = counts["x"], counts["fR"], counts["fP"]
-    if counts["eR"] != n_r or counts["eP"] != n_p:
-        raise FileFormatError("flow/effort column counts do not match")
-    width = 1 + n_s + 2 * n_r + 2 * n_p
+def _parse_rows(lines, width):
+    """Parse CSV lines into a (rows, width) float array; ValueError otherwise."""
+    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if rows.shape[1] != width:
+        raise ValueError(f"{rows.shape[1]} fields, expected {width}")
+    return rows
 
-    rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise FileFormatError("trajectory needs at least two grid nodes")
-    t = np.empty(len(rows))
-    x = np.empty((len(rows), n_s))
-    f_r = np.empty((len(rows) - 1, n_r))
-    e_r = np.empty((len(rows) - 1, n_r))
-    f_p = np.empty((len(rows) - 1, n_p))
-    e_p = np.empty((len(rows) - 1, n_p))
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise FileFormatError(f"row {k + 1} has {len(row)} fields, expected {width}")
+
+def _row_error(row, exc):
+    """FileFormatError naming a row of the file (numpy's own row count is dropped)."""
+    return FileFormatError(f"row {row}: " + re.sub(r" at row \d+", "", str(exc)))
+
+
+def _first_bad_row(lines, width):
+    """Index of the first of ``lines`` that does not parse, and its ValueError.
+
+    A prefix of ``lines`` parses iff every line in it does, so bisection on
+    the prefix length finds that line without a Python loop over the rows.
+    """
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            t[k] = float(row[0])
-            x[k] = [float(v) for v in row[1 : 1 + n_s]]
-            if k > 0:
-                vals = [float(v) for v in row[1 + n_s :]]
-                f_r[k - 1] = vals[:n_r]
-                e_r[k - 1] = vals[n_r : 2 * n_r]
-                f_p[k - 1] = vals[2 * n_r : 2 * n_r + n_p]
-                e_p[k - 1] = vals[2 * n_r + n_p :]
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric value in row {k + 1}: {exc}") from exc
+            _parse_rows(lines[:mid], width)
+            lo = mid
+        except ValueError:
+            hi = mid
     try:
-        return Trajectory(t=t, x=x, f_r=f_r, e_r=e_r, f_p=f_p, e_p=e_p)
+        _parse_rows(lines[lo:hi], width)
+    except ValueError as exc:
+        return lo, exc
+    return lo, ValueError("malformed row")
+
+
+def trajectory_from_csv(text):
+    """Parse TrajectoryFileV1 text; FileFormatError on any deviation from the format."""
+    lines = text.rstrip("\r\n").splitlines()
+    if not lines:
+        raise FileFormatError("empty trajectory file")
+    names = lines[0].split(",")
+    counts = Counter(name.split("_")[0] for name in names)
+    n_s, n_r, n_p = counts["x"], counts["fR"], counts["fP"]
+    if names != _traj_header(n_s, n_r, n_p):
+        raise FileFormatError(
+            f"trajectory header must be exactly {','.join(_traj_header(n_s, n_r, n_p))!r}, "
+            f"got {lines[0]!r}")
+    if len(lines) < 3:
+        raise FileFormatError("trajectory needs at least two grid nodes")
+    if "" in lines:
+        raise FileFormatError(f"row {lines.index('') + 1} is blank")
+    width = len(names)
+
+    fields = lines[1].split(",")
+    if len(fields) != width:
+        raise FileFormatError(f"row 2 has {len(fields)} fields, expected {width}")
+    if any(fields[1 + n_s:]):
+        raise FileFormatError("row 2: channel fields must be blank on the first row")
+    try:
+        head = np.loadtxt(lines[1:2], delimiter=",", comments=None, usecols=range(1 + n_s),
+                          ndmin=1)
+    except ValueError as exc:
+        raise _row_error(2, exc) from exc
+    try:
+        body = _parse_rows(lines[2:], width)
+    except ValueError as exc:
+        index, reason = _first_bad_row(lines[2:], width)
+        raise _row_error(index + 3, reason) from exc
+
+    t, x, f_r, e_r, f_p, e_p = np.split(body, np.cumsum([1, n_s, n_r, n_r, n_p]), axis=1)
+    try:
+        return Trajectory(t=np.concatenate([head[:1], t[:, 0]]), x=np.vstack([head[1:], x]),
+                          f_r=f_r, e_r=e_r, f_p=f_p, e_p=e_p)
     except StructureError as exc:
         raise FileFormatError(f"inconsistent trajectory data: {exc}") from exc
 

@@ -54,10 +54,6 @@ class PhsSystem:
     def n_p(self):
         return self.dirac.n_p
 
-    def resistive_at(self, x):
-        """Concrete relation for the given state (resolves modulation)."""
-        return None if self.res is None else self.res.at(x)
-
 
 def validate_components(dirac, ham, res=None, causality=(), dirac_tol=1e-10,
                         resistive_tol=1e-10, resistive_states=None):

@@ -77,6 +77,41 @@ def test_trajectory_csv_round_trip_with_channels(damped, forced):
     assert np.array_equal(back2.e_p, traj2.e_p)
 
 
+GOLDEN_CSV = (
+    "t,x_0,x_1,fR_0,eR_0,fP_0,eP_0\n"
+    "0,-0,4.9406564584124654e-324,,,,\n"
+    "0.5,1e+308,0.10000000000000001,0.10000000000000001,4.9406564584124654e-324,nan,-3\n"
+    "1,nan,1,-0,-1e+308,2.5,1.0000000000000001e-05\n"
+)
+
+
+def _golden_trajectory():
+    nan = float("nan")
+    return pk.Trajectory(
+        t=[0.0, 0.5, 1.0], x=[[-0.0, 5e-324], [1e308, 0.1], [nan, 1.0]],
+        f_r=[[0.1], [-0.0]], e_r=[[5e-324], [-1e308]], f_p=[[nan], [2.5]], e_p=[[-3.0], [1e-5]],
+    )
+
+
+def _assert_bit_identical(a, b):
+    for name in ("t", "x", "f_r", "e_r", "f_p", "e_p"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", ["lf", "crlf", "trailing_blank_line", "crlf_trailing_blank"])
+def test_trajectory_csv_golden_bytes(variant):
+    traj = _golden_trajectory()
+    assert trajectory_to_csv(traj) == GOLDEN_CSV
+    text = {
+        "lf": GOLDEN_CSV,
+        "crlf": GOLDEN_CSV.replace("\n", "\r\n"),
+        "trailing_blank_line": GOLDEN_CSV + "\n",
+        "crlf_trailing_blank": GOLDEN_CSV.replace("\n", "\r\n") + "\r\n",
+    }[variant]
+    _assert_bit_identical(trajectory_from_csv(text), traj)
+
+
 def test_trajectory_csv_rejects_malformed():
     with pytest.raises(FileFormatError):
         trajectory_from_csv("a,b\n1,2\n")
@@ -84,6 +119,22 @@ def test_trajectory_csv_rejects_malformed():
         trajectory_from_csv("t,x_0\n0.0,1.0\n")  # single node
     with pytest.raises(FileFormatError):
         trajectory_from_csv("t,x_0\n0.0,1.0\n0.1,zebra\n")
+    lines = GOLDEN_CSV.splitlines()
+    body = "\n".join(lines[1:]) + "\n"
+    bad = {
+        "permuted header": "t,eP_0,x_0,x_1,fR_0,eR_0,fP_0\n" + body,
+        "duplicated header": "t,x_0,x_0,fR_0,eR_0,fP_0,eP_0\n" + body,
+        "misnumbered header": "t,x_0,x_2,fR_0,eR_0,fP_0,eP_0\n" + body,
+        "first row field count": GOLDEN_CSV.replace("e-324,,,,\n", "e-324,,,\n"),
+        "later row field count": GOLDEN_CSV.replace(",-3\n", "\n"),
+        "blank body field": GOLDEN_CSV.replace(",2.5,", ",,"),
+        "blank line between rows": GOLDEN_CSV.replace("-3\n", "-3\n\n"),
+    }
+    for name, text in bad.items():
+        with pytest.raises(FileFormatError, match="header|row"):
+            trajectory_from_csv(text)
+    with pytest.raises(FileFormatError, match="row 4"):
+        trajectory_from_csv(bad["blank body field"])
 
 
 def test_cli_validate_pass_and_fail(runner, tmp_path):
@@ -260,3 +311,31 @@ def test_cli_invalid_system_exits_1_for_every_command(runner, tmp_path):
         runner.invoke(main, ["check", str(bad), str(traj_path)]).exit_code,
     ]
     assert codes == [1, 1, 1]
+
+
+def test_cli_malformed_relation_or_trajectory_header_exits_2(runner, tmp_path):
+    good = tmp_path / "damped.json"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(good)])
+    doc = json.loads(good.read_text())
+    no_r = json.loads(json.dumps(doc))
+    del no_r["resistive"]["R"]
+    wide_r = json.loads(json.dumps(doc))
+    wide_r["resistive"]["R"] = [[1.0, 0.0]]
+    mismatched = json.loads(json.dumps(doc))
+    mismatched["resistive"] = {"type": "parametric", "A": [[1.0]], "B": [[1.0, 0.0]]}
+    for i, bad in enumerate([no_r, wide_r, mismatched]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.exception
+        assert "parse error" in result.stderr
+
+    traj_path = tmp_path / "traj.csv"
+    runner.invoke(main, ["simulate", str(good), "--x0", "1,0", "--t1", "0.1",
+                         "--dt", "1e-2", "--out", str(traj_path)])
+    lines = traj_path.read_text().splitlines(keepends=True)
+    assert lines[0] == "t,x_0,x_1,fR_0,eR_0\n"
+    traj_path.write_text("t,x_1,x_0,fR_0,eR_0\n" + "".join(lines[1:]))
+    result = runner.invoke(main, ["check", str(good), str(traj_path)])
+    assert result.exit_code == 2
+    assert "parse error" in result.stderr

@@ -77,7 +77,10 @@ def _parse_signal(expr):
     if expr.startswith("csv:") or expr.endswith(".csv"):
         path = expr[4:] if expr.startswith("csv:") else expr
         table = np.loadtxt(path, delimiter=",", ndmin=2)
-        times, values = table[:, 0], table[:, 1]
+        if table.shape[0] < 1 or table.shape[1] != 2:
+            raise ValueError(f"{path} must hold at least one row of two columns "
+                             f"(time, value), got shape {table.shape}")
+        times, values = table.T
         order = np.argsort(times)
         times, values = times[order], values[order]
 

@@ -55,6 +55,15 @@ def _matrix(data, name):
     return m
 
 
+def _dimension(dims, key):
+    """A dimension must be a JSON whole number: int() alone would truncate 2.7."""
+    value = dims[key]
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise FileFormatError(f"dims.{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def system_to_dict(sys, metadata=None):
     """Serialize an assembled system to the SystemFileV1 structure."""
     ham_doc = sys.ham.to_dict() or sys.metadata.get("hamiltonian_spec")
@@ -95,7 +104,7 @@ def parse_system_dict(doc):
         raise FileFormatError(f"unsupported system file version {doc.get('version')!r}")
     try:
         dims = doc["dims"]
-        n_s, n_r, n_p = int(dims["n_s"]), int(dims["n_r"]), int(dims["n_p"])
+        n_s, n_r, n_p = (_dimension(dims, key) for key in ("n_s", "n_r", "n_p"))
         dirac = DiracKernelRep(F=_matrix(doc["F"], "F"), G=_matrix(doc["G"], "G"),
                                n_s=n_s, n_r=n_r, n_p=n_p)
         ham_doc = doc["hamiltonian"]
@@ -108,9 +117,11 @@ def parse_system_dict(doc):
                 c=float(ham_doc.get("c", 0.0)),
             )
         elif ham_type == "builtin":
-            ham = builtin_hamiltonian(str(ham_doc["name"]), ham_doc.get("params", {}))
-            ham_spec = {"type": "builtin", "name": str(ham_doc["name"]),
-                        "params": ham_doc.get("params", {})}
+            params = ham_doc.get("params", {})
+            if not isinstance(params, dict):
+                raise FileFormatError("hamiltonian.params must be a JSON object")
+            ham = builtin_hamiltonian(str(ham_doc["name"]), params)
+            ham_spec = {"type": "builtin", "name": str(ham_doc["name"]), "params": params}
         else:
             raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")
 

@@ -196,7 +196,7 @@ class MollifierConfig:
 
     The bump half-width is 1/n_smooth time units; quad_points Gauss-Legendre
     nodes are used on each quadrature panel (panels are aligned with the
-    trajectory grid so the piecewise data is smooth inside every panel).
+    trajectory grid, so interpolated node data is smooth inside every panel).
     """
 
     n_smooth: int
@@ -216,11 +216,12 @@ class MollifierConfig:
 def _kernel_quadrature(eps, dt, quad_points):
     """Quadrature nodes/weights for ∫ delta(tau) z(t - tau) dtau.
 
-    Panels are the grid-aligned subdivisions of [-eps, eps] (so convolved
-    piecewise-linear/constant data is polynomial inside every panel), further
-    split to at most eps/16 so the bump itself is resolved even on coarse
-    grids.  Raw weights must integrate the bump to 1 within 1e-8; they are
-    then rescaled to unit mass so constant data is preserved to roundoff.
+    Panels are the grid-aligned subdivisions of [-eps, eps], split further
+    to at most eps/16 so the bump is resolved even on coarse grids.  Node
+    data is smooth inside a grid-aligned panel; interval data jumps at its
+    centre, which is a node for odd quad_points.  Raw weights must integrate
+    the bump to 1 within 1e-8; they are then rescaled to unit mass so
+    constant data is preserved to roundoff.
     """
     k_max = int(np.ceil(eps / dt - 1e-12))
     base = np.unique(np.clip(np.arange(-k_max, k_max + 1) * dt, -eps, eps))
@@ -245,26 +246,14 @@ def _kernel_quadrature(eps, dt, quad_points):
     return nodes, weights / mass
 
 
-def _convolve_linear(t_grid, values, out_times, nodes, weights):
-    """Convolve piecewise-linear node data, sampled at out_times."""
-    queries = out_times[:, None] - nodes[None, :]
-    flat = queries.ravel()
-    cols = []
-    for j in range(values.shape[1]):
-        sampled = np.interp(flat, t_grid, values[:, j]).reshape(queries.shape)
-        cols.append(sampled @ weights)
-    return np.column_stack(cols) if cols else np.zeros((out_times.size, 0))
-
-
-def _convolve_constant(t_grid, values, out_times, nodes, weights):
-    """Convolve piecewise-constant interval data, sampled at out_times."""
-    if values.shape[1] == 0:
-        return np.zeros((out_times.size, 0))
-    dt = t_grid[1] - t_grid[0]
-    queries = out_times[:, None] - nodes[None, :]
-    idx = np.clip(np.floor((queries - t_grid[0]) / dt).astype(int), 0, values.shape[0] - 1)
-    cols = [values[idx, j] @ weights for j in range(values.shape[1])]
-    return np.column_stack(cols)
+def _apply_stencil(values, lo, rows, taps):
+    """out[k] = sum_o taps[o] * values[lo + k + o], all columns at once."""
+    if lo < 0 or lo + taps.size - 1 + rows > values.shape[0]:
+        raise StructureError("mollifier stencil reaches outside the sampled data")
+    out = np.zeros((rows, values.shape[1]))
+    for o, w in enumerate(taps):
+        out += w * values[lo + o:lo + o + rows]
+    return out
 
 
 def mollify(traj, cfg):
@@ -275,6 +264,11 @@ def mollify(traj, cfg):
     channel samples at the surviving interval midpoints.  The mollified data
     of a weakly valid trajectory satisfies the inclusion pointwise up to
     discretization error.
+
+    The query t_k - tau_q lies s_q = -tau_q/dt steps from every output row,
+    so each kind of sample has one fixed stencil: node data gets w_q (1 - l_q)
+    and w_q l_q on nodes floor(s_q) and floor(s_q) + 1 (l_q = s_q - floor(s_q));
+    interval data gets w_q on interval floor(s_q + 1/2), the same for all rows.
     """
     eps = cfg.eps
     dt = traj.dt
@@ -287,11 +281,16 @@ def mollify(traj, cfg):
         )
     t_out = t[keep]
     nodes, weights = _kernel_quadrature(eps, dt, cfg.quad_points)
-
-    x_out = _convolve_linear(t, traj.x, t_out, nodes, weights)
-    mids = 0.5 * (t_out[:-1] + t_out[1:])
+    shift = -nodes / dt
+    below = np.floor(shift)
+    first = int(below.min())
+    lo = int(np.argmax(keep)) + first
+    node_taps = np.bincount((np.r_[below, below + 1] - first).astype(int),
+                            np.r_[weights * (below + 1.0 - shift), weights * (shift - below)])
+    interval_taps = np.bincount((np.floor(shift + 0.5) - first).astype(int), weights)
+    x_out = _apply_stencil(traj.x, lo, t_out.size, node_taps)
     channels = {
-        name: _convolve_constant(t, getattr(traj, name), mids, nodes, weights)
+        name: _apply_stencil(getattr(traj, name), lo, t_out.size - 1, interval_taps)
         for name in ("f_r", "e_r", "f_p", "e_p")
     }
     metadata = dict(traj.metadata)

@@ -291,6 +291,13 @@ def test_cli_csv_input_signal(runner, tmp_path):
     traj = pk.load_trajectory(traj_path)
     assert traj.f_p[0, 0] == 0.0
     assert traj.f_p[-1, 0] == 1.0
+    for i, text in enumerate(["0.0\n0.5\n", "", "0.0,0.0,9.0\n0.5,1.0,9.0\n"]):
+        bad = tmp_path / f"bad{i}.csv"
+        bad.write_text(text)
+        result = runner.invoke(main, ["simulate", str(sys_path), "--x0", "0,0", "--t1", "0.1",
+                                      "--dt", "1e-2", "--input", f"0=csv:{bad}"])
+        assert result.exit_code == 2, result.exception
+        assert "two columns" in result.stderr
 
 
 def test_cli_invalid_system_exits_1_for_every_command(runner, tmp_path):
@@ -323,7 +330,13 @@ def test_cli_malformed_relation_or_trajectory_header_exits_2(runner, tmp_path):
     wide_r["resistive"]["R"] = [[1.0, 0.0]]
     mismatched = json.loads(json.dumps(doc))
     mismatched["resistive"] = {"type": "parametric", "A": [[1.0]], "B": [[1.0, 0.0]]}
-    for i, bad in enumerate([no_r, wide_r, mismatched]):
+    fractional = json.loads(json.dumps(doc))
+    fractional["dims"]["n_s"] = 2.7
+    string = tmp_path / "string.json"
+    runner.invoke(main, ["example", "string", "--n", "4", "--out", str(string)])
+    list_params = json.loads(string.read_text())
+    list_params["hamiltonian"]["params"] = [1, 2]
+    for i, bad in enumerate([no_r, wide_r, mismatched, fractional, list_params]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         result = runner.invoke(main, ["validate", str(path)])

@@ -11,7 +11,7 @@ from phs_kit import (
     strong_trajectory_audit,
     weak_residual,
 )
-from phs_kit.verify import bump_constant
+from phs_kit.verify import _apply_stencil, _kernel_quadrature, bump_constant
 
 # 30-digit quadrature of the bump mass, computed independently ahead of time
 BUMP_MASS_ORACLE = 0.443993816168079437823048921171
@@ -135,6 +135,78 @@ def test_mollify_too_short_interval(damped):
     traj = make_traj(damped, rows, dt=1e-3)
     with pytest.raises(pk.StructureError):
         mollify(traj, MollifierConfig(n_smooth=10))
+
+
+def _mollify_by_queries(traj, cfg):
+    """Reference: sample the data at every t_k - tau_q, then sum with the weights.
+
+    Node data is interpolated with np.interp; interval data is looked up by
+    floor((m_k - tau_q - t_0)/dt), the interval that contains the query.
+    """
+    eps, dt, t = cfg.eps, traj.dt, traj.t
+    keep = (t >= t[0] + eps - 1e-12 * dt) & (t <= t[-1] - eps + 1e-12 * dt)
+    if keep.sum() < 2:
+        raise pk.StructureError("shrunken grid has fewer than two nodes")
+    t_out = t[keep]
+    nodes, weights = _kernel_quadrature(eps, dt, cfg.quad_points)
+    queries = t_out[:, None] - nodes[None, :]
+    x = np.column_stack([np.interp(queries, t, col) @ weights for col in traj.x.T])
+    mids = 0.5 * (t_out[:-1] + t_out[1:])
+    idx = np.floor((mids[:, None] - nodes[None, :] - t[0]) / dt).astype(int)
+    assert idx.min() >= 0 and idx.max() < traj.steps
+    channels = {name: np.column_stack([col[idx] @ weights for col in getattr(traj, name).T])
+                for name in ("f_r", "e_r", "f_p", "e_p")}
+    return t_out, x, channels
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 1.0 / 30.0, 1e-2 * (1.0 + 1e-13)])
+def test_mollify_matches_query_reference(dt):
+    # eps = 1/n_smooth is a whole multiple of dt for (1e-2, 25), (1/30, 3),
+    # (1/30, 10), and within roundoff of one for dt = 1e-2 (1 + 1e-13)
+    rng = np.random.default_rng(11)
+    m = int(round(1.0 / dt))
+    t = 0.25 + dt * np.arange(m + 1)
+    x = np.column_stack([np.sin(3.0 * t), rng.standard_normal(m + 1)])
+    f_r, f_p = rng.standard_normal((m, 1)), rng.standard_normal((m, 2))
+    traj = pk.Trajectory(t=t, x=x, f_r=f_r, e_r=-f_r, f_p=f_p, e_p=2.0 * f_p)
+    for n_smooth in (3, 10, 25, 32):
+        for quad_points in (4, 6):
+            cfg = MollifierConfig(n_smooth=n_smooth, quad_points=quad_points)
+            try:
+                t_ref, x_ref, channels_ref = _mollify_by_queries(traj, cfg)
+            except pk.StructureError:
+                with pytest.raises(pk.StructureError):
+                    mollify(traj, cfg)
+                continue
+            out = mollify(traj, cfg)
+            assert np.array_equal(out.t, t_ref)
+            pairs = [(out.x, x_ref)] + [(getattr(out, n), a) for n, a in channels_ref.items()]
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("quad_points", [3, 4, 5])
+def test_mollify_is_shift_invariant(forced, quad_points):
+    # for odd quad_points a Gauss node sits on every channel jump; the
+    # interval that gets its weight must not change from row to row
+    dt, m, cfg = 1e-2, 200, MollifierConfig(n_smooth=3, quad_points=quad_points)
+    impulses = np.zeros((2, m, 1))
+    impulses[0, 100], impulses[1, 101] = 1.0, 1.0
+    outs = [mollify(make_traj(forced, np.zeros((m + 1, 2)), dt=dt, f_p=u, e_p=u), cfg)
+            for u in impulses]
+    assert outs[0].f_p[:, 0].max() > 0.0
+    assert np.array_equal(outs[0].f_p[:-1], outs[1].f_p[1:])
+    assert np.array_equal(outs[0].e_p[:-1], outs[1].e_p[1:])
+
+
+def test_mollify_stencil_never_wraps_outside_the_data():
+    values = np.arange(6.0)[:, None]
+    assert _apply_stencil(values, 0, 5, np.array([0.5, 0.5]))[:, 0].tolist() == [
+        0.5, 1.5, 2.5, 3.5, 4.5]
+    for lo, rows in ((-1, 3), (1, 5)):
+        with pytest.raises(pk.StructureError):
+            _apply_stencil(values, lo, rows, np.array([0.5, 0.5]))
 
 
 def test_mollified_trajectory_near_structure(damped):

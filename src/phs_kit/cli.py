@@ -95,7 +95,10 @@ def _parse_signal(expr):
 def _parse_x0(text, n_s):
     if text is None:
         return np.zeros(n_s)
-    values = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    except ValueError as exc:
+        raise click.UsageError(f"--x0 needs comma-separated numbers: {exc}") from exc
     if len(values) != n_s:
         raise click.UsageError(f"--x0 needs {n_s} comma-separated values, got {len(values)}")
     return np.array(values)

@@ -59,10 +59,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise StructureError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.dt <= 0:
-            raise StructureError("dt must be positive")
-        if self.newton_tol <= 0:
-            raise StructureError("newton_tol must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise StructureError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise StructureError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise StructureError("newton_max_iter must be >= 1")
 
@@ -391,7 +391,11 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (sys.n_s,):
         raise StructureError(f"x0 must have length {sys.n_s}")
+    if not np.all(np.isfinite(x0)):
+        raise StructureError(f"x0 must be finite, got {x0.tolist()}")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise StructureError(f"t_span must be finite, got ({t0}, {t1})")
     if t1 <= t0:
         raise StructureError("t_span must satisfy t1 > t0")
     # land exactly on t1: round to the nearest whole number of uniform steps

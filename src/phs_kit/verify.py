@@ -9,6 +9,7 @@ test-function mass (each hat integrates to dt) and divided by
 report second-order small for trajectories produced by the integrator.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,24 @@ class WeakReport:
     """Weak-residual table over interior grid nodes and coordinate directions.
 
     ``residuals[k-1, j]`` is the normalized residual of the hat at interior
-    node k paired with basis direction j; ``max_residual`` is the table max.
+    node k (time ``t[k-1]``) paired with basis direction j; ``max_residual``
+    is the table max, and ``as_dict`` locates its first occurrence.
     """
 
     max_residual: float
     residuals: np.ndarray
     normalization: float
+    t: np.ndarray
 
     def as_dict(self):
+        node, direction = np.unravel_index(int(np.argmax(self.residuals)), self.residuals.shape)
         return {
             "max_residual": float(self.max_residual),
             "normalization": float(self.normalization),
             "rows": int(self.residuals.shape[0]),
             "cols": int(self.residuals.shape[1]),
+            "argmax_time": float(self.t[node]),
+            "argmax_direction": int(direction),
         }
 
 
@@ -94,6 +100,7 @@ def weak_residual(sys, traj):
         max_residual=float(residuals.max()),
         residuals=residuals,
         normalization=normalization,
+        t=traj.t[1:-1],
     )
 
 
@@ -105,7 +112,8 @@ class EnergyReport:
     dissipated and supplied are the interval quadratures dt*<f_R, e_R> and
     dt*<f_P, e_P>.  ``ineq_defect`` is max_k (dH[k] - supplied[k]), the
     per-interval defect of the passivity inequality (<= 0 for passive runs up
-    to solver tolerance); cumulative counterparts cover [t_0, t_M].
+    to solver tolerance); cumulative counterparts cover [t_0, t_M].  ``as_dict``
+    gives the start time of the first interval with the largest |gap|.
     """
 
     t: np.ndarray
@@ -132,6 +140,7 @@ class EnergyReport:
             "ineq_defect": float(self.ineq_defect),
             "cumulative_ineq_defect": float(self.cumulative_ineq_defect),
             "intervals": int(self.gap.shape[0]),
+            "argmax_time": float(self.t[int(np.argmax(np.abs(self.gap)))]),
         }
 
 
@@ -169,34 +178,32 @@ def energy_report(sys, traj):
 
 # --- mollification -----------------------------------------------------------
 
+# quad's default epsabs (1.49e-8) would swamp taps that must sum to 1
+_QUAD_TOL = {"epsabs": 0.0, "epsrel": 1e-13}
+
 _BUMP_MASS = None
+
+
+def _bump_shape(s):
+    """exp(-1/(1 - s^2)) on (-1, 1) and 0 elsewhere: the bump before normalization."""
+    u = 1.0 - s * s
+    return math.exp(-1.0 / u) if u > 0.0 else 0.0
 
 
 def bump_constant():
     """Normalization 1/∫ exp(-1/(1-s^2)) ds over (-1, 1), computed once."""
     global _BUMP_MASS
     if _BUMP_MASS is None:
-        mass, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
-        _BUMP_MASS = mass
+        _BUMP_MASS, _ = quad(_bump_shape, -1.0, 1.0, **_QUAD_TOL)
     return 1.0 / _BUMP_MASS
-
-
-def _bump(tau, eps):
-    """Unit-mass smooth bump supported on (-eps, eps)."""
-    s = np.asarray(tau, dtype=float) / eps
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return bump_constant() * out / eps
 
 
 @dataclass(frozen=True)
 class MollifierConfig:
-    """Smoothing-kernel configuration.
+    """Bump half-width eps = 1/n_smooth time units.
 
-    The bump half-width is 1/n_smooth time units; quad_points Gauss-Legendre
-    nodes are used on each quadrature panel (panels are aligned with the
-    trajectory grid, so interpolated node data is smooth inside every panel).
+    ``quad_points`` must be >= 2 but has no effect: ``mollify`` takes its taps
+    from ``quad``, which needs no fixed order.  It stays for existing callers.
     """
 
     n_smooth: int
@@ -213,37 +220,13 @@ class MollifierConfig:
         return 1.0 / float(self.n_smooth)
 
 
-def _kernel_quadrature(eps, dt, quad_points):
-    """Quadrature nodes/weights for ∫ delta(tau) z(t - tau) dtau.
-
-    Panels are the grid-aligned subdivisions of [-eps, eps], split further
-    to at most eps/16 so the bump is resolved even on coarse grids.  Node
-    data is smooth inside a grid-aligned panel; interval data jumps at its
-    centre, which is a node for odd quad_points.  Raw weights must integrate
-    the bump to 1 within 1e-8; they are then rescaled to unit mass so
-    constant data is preserved to roundoff.
-    """
-    k_max = int(np.ceil(eps / dt - 1e-12))
-    base = np.unique(np.clip(np.arange(-k_max, k_max + 1) * dt, -eps, eps))
-    target = eps / 16.0
-    pieces = [base[:1]]
-    for lo_e, hi_e in zip(base[:-1], base[1:]):
-        parts = max(1, int(np.ceil((hi_e - lo_e) / target)))
-        pieces.append(np.linspace(lo_e, hi_e, parts + 1)[1:])
-    edges = np.concatenate(pieces)
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(quad_points)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * gauss_x[None, :]).ravel()
-    weights = (half[:, None] * gauss_w[None, :]).ravel() * _bump(nodes, eps)
-    mass = float(weights.sum())
-    if abs(mass - 1.0) > 1e-8:
-        raise StructureError(
-            f"kernel quadrature mass {mass} deviates from 1 by more than 1e-8; "
-            "increase quad_points"
-        )
-    return nodes, weights / mass
+def _bump_integral(eps, lo, hi, weight):
+    """∫ delta(tau) weight(tau) dtau over [lo, hi] ∩ [-eps, eps], to double precision."""
+    lo, hi = max(lo, -eps), min(hi, eps)
+    if lo >= hi:
+        return 0.0
+    value, _ = quad(lambda tau: _bump_shape(tau / eps) * weight(tau), lo, hi, **_QUAD_TOL)
+    return bump_constant() / eps * value
 
 
 def _apply_stencil(values, lo, rows, taps):
@@ -265,10 +248,18 @@ def mollify(traj, cfg):
     of a weakly valid trajectory satisfies the inclusion pointwise up to
     discretization error.
 
-    The query t_k - tau_q lies s_q = -tau_q/dt steps from every output row,
-    so each kind of sample has one fixed stencil: node data gets w_q (1 - l_q)
-    and w_q l_q on nodes floor(s_q) and floor(s_q) + 1 (l_q = s_q - floor(s_q));
-    interval data gets w_q on interval floor(s_q + 1/2), the same for all rows.
+    States are piecewise linear and channels piecewise constant, so the data
+    row o rows from the output row gets one fixed, exact tap
+
+        node data:     ∫ delta(tau) hat((tau + o dt) / dt) dtau,
+        interval data: C((-o + 1/2) dt) - C((-o - 1/2) dt),
+
+    with hat the unit hat on [-1, 1] and C(a) = ∫_{-eps}^a delta.  ``quad``
+    gives each interval tap, and each whole step's share of a node tap, to
+    double precision (differences of C and of the first moment would lose a
+    factor eps/dt), so both stencils sum to 1 to roundoff with no rescaling.
+    The bump underflows to 0 within about 7e-4 eps of +-eps and exact zero
+    taps are dropped, so roundoff in dt never widens a stencil.
     """
     eps = cfg.eps
     dt = traj.dt
@@ -280,21 +271,24 @@ def mollify(traj, cfg):
             "has fewer than two nodes"
         )
     t_out = t[keep]
-    nodes, weights = _kernel_quadrature(eps, dt, cfg.quad_points)
-    shift = -nodes / dt
-    below = np.floor(shift)
-    first = int(below.min())
-    lo = int(np.argmax(keep)) + first
-    node_taps = np.bincount((np.r_[below, below + 1] - first).astype(int),
-                            np.r_[weights * (below + 1.0 - shift), weights * (shift - below)])
-    interval_taps = np.bincount((np.floor(shift + 0.5) - first).astype(int), weights)
-    x_out = _apply_stencil(traj.x, lo, t_out.size, node_taps)
+    steps = int(eps // dt) + 1
+    shifts = dt * np.arange(-steps, steps + 1)
+    # whole step [a, b] feeds the rising half of the hat at b and the falling
+    # half of the hat at a; delta is even, so the falling share of step k is
+    # the rising share of step -k-1, and both stencils are exactly symmetric
+    up = np.array([_bump_integral(eps, a, b, lambda tau: (tau - a) / dt)
+                   for a, b in zip(shifts[:-1], shifts[1:])])
+    node_taps = np.trim_zeros(np.r_[0.0, up] + np.r_[up[::-1], 0.0])
+    half = [_bump_integral(eps, s - 0.5 * dt, s + 0.5 * dt, lambda tau: 1.0) for s in shifts[steps:]]
+    interval_taps = np.trim_zeros(np.r_[half[:0:-1], half])
+    start = int(np.argmax(keep))
+    x_out = _apply_stencil(traj.x, start - node_taps.size // 2, t_out.size, node_taps)
     channels = {
-        name: _apply_stencil(getattr(traj, name), lo, t_out.size - 1, interval_taps)
+        name: _apply_stencil(getattr(traj, name), start - interval_taps.size // 2,
+                             t_out.size - 1, interval_taps)
         for name in ("f_r", "e_r", "f_p", "e_p")
     }
-    metadata = dict(traj.metadata)
-    metadata.update({"mollified": True, "eps": eps, "quad_points": cfg.quad_points})
+    metadata = {**traj.metadata, "mollified": True, "eps": eps}
     return Trajectory(t=t_out, x=x_out, metadata=metadata, **channels)
 
 

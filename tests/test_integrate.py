@@ -37,6 +37,19 @@ def test_scheme_config_validation():
         SchemeConfig(newton_tol=-1.0)
 
 
+@pytest.mark.parametrize("x0, t1, cfg_kwargs", [
+    ([1.0, 0.0], 0.5, {"dt": math.inf}),
+    ([1.0, 0.0], 0.5, {"dt": math.nan}),
+    ([1.0, 0.0], 0.5, {"newton_tol": math.nan}),
+    ([1.0, 0.0], math.nan, {}),
+    ([1.0, 0.0], math.inf, {}),
+    ([1.0, math.nan], 0.5, {}),
+])
+def test_simulate_rejects_non_finite_inputs(oscillator, x0, t1, cfg_kwargs):
+    with pytest.raises(pk.StructureError):
+        simulate(oscillator, x0, None, (0.0, t1), SchemeConfig(**cfg_kwargs))
+
+
 def test_consistent_init_unconstrained(oscillator):
     x0, report = consistent_init(oscillator, [0.3, -0.7])
     assert x0 == pytest.approx([0.3, -0.7])

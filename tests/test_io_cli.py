@@ -188,6 +188,18 @@ def test_cli_simulate_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["simulate", str(sys_path), "--t1", "-1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--dt", "inf"), ("--dt", "nan"), ("--t1", "nan"), ("--newton-tol", "nan"),
+    ("--x0", "a,b"), ("--x0", "1,nan"),
+])
+def test_cli_simulate_rejects_non_finite_and_unparsable_numbers(runner, tmp_path, option, value):
+    sys_path = tmp_path / "osc.json"
+    runner.invoke(main, ["example", "oscillator", "--out", str(sys_path)])
+    opts = {"--x0": "1,0", "--t1": "0.5", option: value}
+    args = [item for pair in opts.items() for item in pair]
+    assert runner.invoke(main, ["simulate", str(sys_path), *args]).exit_code == 2
+
+
 def test_cli_simulate_deterministic_output(runner, tmp_path):
     sys_path = tmp_path / "damped.json"
     runner.invoke(main, ["example", "damped_oscillator", "--out", str(sys_path)])
@@ -256,6 +268,8 @@ def test_cli_check_detects_corruption(runner, tmp_path):
     pk.save_trajectory(bad, traj_path)
     result = runner.invoke(main, ["check", str(sys_path), str(traj_path), "--mode", "weak"])
     assert result.exit_code == 1
+    weak = json.loads(result.output)["weak"]
+    assert abs(weak["argmax_time"] - traj.t[traj.steps // 2]) <= traj.dt * (1 + 1e-9)
 
 
 def test_cli_example_unknown_name(runner):

@@ -9,13 +9,14 @@ is grad H at the interval midpoint (implicit_midpoint) or the discrete
 gradient between the endpoint states (discrete_gradient).  The discrete
 gradient makes the per-step energy balance an exact identity.
 
-The step map is affine when the Hamiltonian is quadratic (its
-``linear_gradient()`` is not None) and the resistive relation is absent or
-linear and state-independent (its ``linear_maps()`` is not None): both
-schemes then use g = H (x0 + x1)/2 + b, and the residual is K z + L x0 + P u
-+ c with matrices built once per ``simulate``.  Newton receives K as the exact
-Jacobian and takes one iteration per step.  Every other system runs the same
-Newton loop with a finite-difference Jacobian.
+The residual is linear in the auxiliary unknowns v = (v_R, v_P), through
+C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)] (``_aux_block``); only g is
+nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C].  With a
+quadratic Hamiltonian (``linear_gradient()`` not None) and a relation that is
+absent or linear and state-independent (``linear_maps()`` not None) the step
+map is affine: g = H (x0 + x1)/2 + b, the Jacobian is exact and built once,
+and Newton takes one iteration per step.  Other systems difference only the
+scheme's gradient map x1 -> g, with n_s gradient calls per Jacobian.
 """
 
 import math
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 SCHEMES = ("implicit_midpoint", "discrete_gradient")
+_W_ROWS = 64  # steps of the affine P u_k + c per pass: O(n) memory, not O(n_steps n)
 
 
 @dataclass(frozen=True)
@@ -90,54 +92,83 @@ def _aux_count(sys):
     return (0 if sys.res is None else sys.res.n_aux) + sys.n_p
 
 
-def _fd_jacobian(residual, z, r0=None):
-    """Forward-difference Jacobian of ``residual`` at z, step sqrt(eps)*(1+||z||)."""
-    r0 = residual(z) if r0 is None else r0
-    jac = np.empty((r0.size, z.size))
-    h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(z)))
-    for j in range(z.size):
-        zp = z.copy()
-        zp[j] += h
-        jac[:, j] = (residual(zp) - r0) / h
+def _state(sys, x, name):
+    """A finite state vector of length n_s, else StructureError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (sys.n_s,):
+        raise StructureError(f"{name} must have length {sys.n_s}")
+    if not np.all(np.isfinite(x)):
+        raise StructureError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
+def _fd_jacobian(fn, y):
+    """Forward-difference Jacobian of ``fn`` at y, step sqrt(eps)*(1+||y||)."""
+    f0 = fn(y)
+    jac = np.empty((f0.size, y.size))
+    h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(y)))
+    for j in range(y.size):
+        yp = y.copy()
+        yp[j] += h
+        jac[:, j] = (fn(yp) - f0) / h
     return jac
+
+
+def _aux_block(sys, effort_prescribed, x):
+    """C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)]: the exact map v -> residual.
+
+    (A, B) = ``res.at(x).linear_maps()`` and D_m masks the effort-prescribed
+    channels, whose free half is the flow.
+    """
+    d = sys.dirac
+    a, b = (np.zeros((0, 0)),) * 2 if sys.res is None else sys.res.at(x).linear_maps()
+    m = effort_prescribed.astype(float)
+    return np.hstack([d.F_r @ a + d.G_r @ b, d.F_p * m + d.G_p * (1.0 - m)])
 
 
 class _AffineStep:
     """Step residual r(z) = K z + L x_k + P u_k + c of an affine step map.
 
-    z = (x_{k+1}, v_R, v_P).  With g = H (x_k + x_{k+1})/2 + b, f_R = A v_R,
-    e_R = B v_R and D_m the mask of effort-prescribed channels:
-    K = [-F_s/dt + G_s H/2, F_r A + G_r B, F_p D_m + G_p (I - D_m)],
-    L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s b.
+    z = (x_{k+1}, v).  With g = H (x_k + x_{k+1})/2 + b:
+    K = [-F_s/dt + G_s H/2, C], L = F_s/dt + G_s H/2,
+    P = F_p (I - D_m) + G_p D_m and c = G_s b.  ``start`` must visit the
+    steps in order.
     """
 
     name = "affine"
 
-    def __init__(self, sys, linear_gradient, linear_maps, effort_prescribed, dt, prescribed):
+    def __init__(self, sys, linear_gradient, effort_prescribed, dt, prescribed):
         d = sys.dirac
         h, b = linear_gradient
-        a, b_r = linear_maps
         m = effort_prescribed.astype(float)
         half_gh = 0.5 * (d.G_s @ h)
-        self.K = np.hstack([-d.F_s / dt + half_gh, d.F_r @ a + d.G_r @ b_r,
-                            d.F_p * m + d.G_p * (1.0 - m)])
+        # the relation does not depend on the state, so any state resolves it
+        self.K = np.hstack([-d.F_s / dt + half_gh, _aux_block(sys, effort_prescribed, None)])
         self.L = d.F_s / dt + half_gh
-        # w_k = P u_k + c of every step, in one pass
-        self.w = prescribed @ (d.F_p * (1.0 - m) + d.G_p * m).T + d.G_s @ b
-        self.rhs = None
+        self.P, self.c = d.F_p * (1.0 - m) + d.G_p * m, d.G_s @ b
+        self.prescribed = prescribed
+        self.w = self.rhs = None
 
     def start(self, k, x_k):
-        self.rhs = self.L @ x_k + self.w[k]
+        if k % _W_ROWS == 0:
+            self.w = self.prescribed[k : k + _W_ROWS] @ self.P.T + self.c
+        self.rhs = self.L @ x_k + self.w[k % _W_ROWS]
 
     def residual(self, z):
         return self.K @ z + self.rhs
 
-    def jacobian(self, z, r):
+    def jacobian(self, z):
         return self.K
 
 
 class _NewtonStep:
-    """Step residual of any other system; its Jacobian is built by finite differences."""
+    """Step residual of any other system, with the Jacobian [-F_s/dt + G_s dg/dx1, C(x_mid)].
+
+    Only the scheme's gradient map x1 -> g(x_k, x1) is differenced; the
+    auxiliary block C is exact.  For a Modulated relation the Jacobian leaves
+    out how C varies with the state: Newton then converges linearly, to the
+    same root, because the residual itself is exact.
+    """
 
     name = "newton"
 
@@ -149,27 +180,25 @@ class _NewtonStep:
     def start(self, k, x_k):
         self.x0, self.u = x_k, self.prescribed[k]
 
+    def gradient(self, x1):
+        """The scheme's co-energy g(x_k, x1)."""
+        if self.use_dg:
+            return discrete_gradient(self.sys.ham, self.x0, x1)
+        return ham_grad(self.sys.ham, 0.5 * (self.x0 + x1))
+
     def residual(self, z):
         sys, x0 = self.sys, self.x0
         x1 = z[: x0.size]
-        x_mid = 0.5 * (x0 + x1)
-        g = discrete_gradient(sys.ham, x0, x1) if self.use_dg else ham_grad(sys.ham, x_mid)
-        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:], x_mid, self.u)
+        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:],
+                                       0.5 * (x0 + x1), self.u)
         flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
-        efforts = np.concatenate([g, e_r, e_p])
+        efforts = np.concatenate([self.gradient(x1), e_r, e_p])
         return sys.dirac.F @ flows + sys.dirac.G @ efforts
 
-    def jacobian(self, z, r):
-        return _fd_jacobian(self.residual, z, r)
-
-
-def _step_map(sys, use_dg, effort_prescribed, dt, prescribed):
-    """The affine step map when the energy and the relation allow it, else the Newton one."""
-    linear_gradient = sys.ham.linear_gradient()
-    linear_maps = (np.zeros((0, 0)),) * 2 if sys.res is None else sys.res.linear_maps()
-    if linear_gradient is None or linear_maps is None:
-        return _NewtonStep(sys, use_dg, effort_prescribed, dt, prescribed)
-    return _AffineStep(sys, linear_gradient, linear_maps, effort_prescribed, dt, prescribed)
+    def jacobian(self, z):
+        d, x1 = self.sys.dirac, z[: self.x0.size]
+        return np.hstack([-d.F_s / self.dt + d.G_s @ _fd_jacobian(self.gradient, x1),
+                          _aux_block(self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))])
 
 
 class _NewtonSolver:
@@ -182,13 +211,11 @@ class _NewtonSolver:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.lu = None
-        self.rebuilds = 0
-        self.condition = None
-        self.iterations = 0
+        self.lu = self.condition = None
+        self.rebuilds = self.iterations = 0
 
-    def _refresh(self, step_map, z, r):
-        jac = step_map.jacobian(z, r)
+    def _refresh(self, step_map, z):
+        jac = step_map.jacobian(z)
         try:
             with warnings.catch_warnings():
                 # a zero pivot surfaces as a non-finite iterate handled below
@@ -210,7 +237,7 @@ class _NewtonSolver:
             raise NewtonError(f"LU solve failed (LAPACK getrs info {info})")
         return dz
 
-    def solve(self, step_map, z0, step=None):
+    def solve(self, step_map, z0, step):
         cfg = self.cfg
         residual = step_map.residual
         z = np.array(z0, dtype=float)
@@ -219,24 +246,20 @@ class _NewtonSolver:
         # tolerance relative to the step's own residual scale so the roundoff
         # floor of the 1/dt term cannot sit above an absolute newton_tol
         tol = cfg.newton_tol * (1.0 + norm)
-        iters_since_refresh = np.inf
         for _ in range(cfg.newton_max_iter):
             if norm <= tol:
                 return z, norm
             if not math.isfinite(norm):
                 raise NewtonError("step residual is not finite", step=step, residual=norm)
-            refreshed = False
-            if self.lu is None:
-                self._refresh(step_map, z, r)
-                iters_since_refresh = 0
-                refreshed = True
+            refreshed = self.lu is None
+            if refreshed:
+                self._refresh(step_map, z)
             z_new = z - self._lu_solve(r)
             r_new = residual(z_new)
             norm_new = math.sqrt(r_new @ r_new)
-            if (not norm_new <= 0.5 * norm) and norm_new > tol and iters_since_refresh > 0:
+            if (not norm_new <= 0.5 * norm) and norm_new > tol and not refreshed:
                 # stale cached Jacobian: rebuild at the current iterate and retry
-                self._refresh(step_map, z, r)
-                iters_since_refresh = 0
+                self._refresh(step_map, z)
                 refreshed = True
                 z_new = z - self._lu_solve(r)
                 r_new = residual(z_new)
@@ -245,22 +268,15 @@ class _NewtonSolver:
                 raise NewtonError(
                     f"Newton stalled at residual {norm_new:.3e} with a fresh Jacobian "
                     f"(tolerance {tol:.3e}); the requested newton_tol may be below the "
-                    "roundoff floor of this step",
-                    step=step,
-                    residual=norm_new,
-                )
+                    "roundoff floor of this step", step=step, residual=norm_new)
             z, r, norm = z_new, r_new, norm_new
-            iters_since_refresh += 1
             self.iterations += 1
         if norm <= tol:
             return z, norm
         raise NewtonError(
             f"Newton did not reach tol {tol:.3e} within "
-            f"{cfg.newton_max_iter} iterations (residual {norm:.3e}"
-            + (f", step {step}" if step is not None else "") + ")",
-            step=step,
-            residual=norm,
-        )
+            f"{cfg.newton_max_iter} iterations (residual {norm:.3e}, step {step})",
+            step=step, residual=norm)
 
 
 @dataclass(frozen=True)
@@ -284,16 +300,16 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     are free; if the algebraic residual at ``x_guess`` (minimized over them)
     exceeds ``tol``, the nearest consistent state is computed by a Newton
     iteration on the first-order optimality system and returned together with
-    the projection distance.
+    the projection distance.  The constraint is linear in the auxiliaries,
+    with the exact map W^T C(x) of the step Jacobian (``_aux_block``); only
+    its derivative in x is differenced.
 
     Returns
     -------
     x0 : ndarray
     report : ConsistencyReport
     """
-    x_guess = np.atleast_1d(np.asarray(x_guess, dtype=float))
-    if x_guess.shape != (sys.n_s,):
-        raise StructureError(f"x_guess must have length {sys.n_s}")
+    x_guess = _state(sys, x_guess, "x_guess")
     inputs = PortSignal.coerce(inputs)
     inputs.validate_channels(sys)
     d = sys.dirac
@@ -308,24 +324,17 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
 
     def constraint(x, v):
         f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x, prescribed)
-        full = (d.F_r @ f_r + d.F_p @ f_p + d.G_s @ ham_grad(sys.ham, x)
-                + d.G_r @ e_r + d.G_p @ e_p)
-        return w.T @ full
+        return w.T @ (d.F_r @ f_r + d.F_p @ f_p + d.G_s @ ham_grad(sys.ham, x)
+                      + d.G_r @ e_r + d.G_p @ e_p)
 
-    # minimize over the auxiliary variables first (Gauss-Newton; exact for
-    # affine constraints) to measure the true algebraic residual at x_guess
-    v = np.zeros(n_aux)
-    c = constraint(x_guess, v)
-    for _ in range(max_iter):
-        if np.linalg.norm(c) <= tol:
-            break
-        cv = _fd_jacobian(lambda u: constraint(x_guess, u), v, c)
-        dv, *_ = np.linalg.lstsq(cv, -c, rcond=None)
-        if np.linalg.norm(dv) <= 1e2 * EPS * (1.0 + np.linalg.norm(v)):
-            break
-        v = v + dv
-        c = constraint(x_guess, v)
-    initial_residual = float(np.linalg.norm(c))
+    def aux_jacobian(x):
+        return w.T @ _aux_block(sys, effort_prescribed, x)
+
+    # the true algebraic residual at x_guess is the least-squares minimum over
+    # the auxiliaries: one solve, since the constraint is linear in them
+    c = constraint(x_guess, np.zeros(n_aux))
+    v = np.linalg.lstsq(aux_jacobian(x_guess), -c, rcond=None)[0]
+    initial_residual = float(np.linalg.norm(constraint(x_guess, v)))
     if initial_residual <= tol:
         return x_guess.copy(), ConsistencyReport(0.0, m, initial_residual,
                                                  initial_residual, False, True)
@@ -333,17 +342,12 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     # Newton on the optimality system of min ||x - x_guess|| s.t. c(x, v) = 0
     x = x_guess.copy()
     mu = np.zeros(m)
-    final = initial_residual
     opt_tol = max(tol, 1e-9 * (1.0 + float(np.linalg.norm(x_guess))))
     for _ in range(max_iter):
         c = constraint(x, v)
-        jac = _fd_jacobian(lambda y: constraint(y[: sys.n_s], y[sys.n_s :]),
-                           np.concatenate([x, v]), c)
-        cx, cv = jac[:, : sys.n_s], jac[:, sys.n_s :]
-        r1 = x - x_guess + cx.T @ mu
-        r2 = cv.T @ mu
-        r3 = c
-        final = float(np.linalg.norm(r3))
+        cx, cv = _fd_jacobian(lambda y: constraint(y, v), x), aux_jacobian(x)
+        r1, r2 = x - x_guess + cx.T @ mu, cv.T @ mu
+        final = float(np.linalg.norm(c))
         if final <= tol and max(np.linalg.norm(r1), np.linalg.norm(r2)) <= opt_tol:
             dist = float(np.linalg.norm(x - x_guess))
             return x, ConsistencyReport(dist, m, initial_residual, final, True, True)
@@ -352,13 +356,11 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
             [np.zeros((n_aux, sys.n_s)), np.zeros((n_aux, n_aux)), cv.T],
             [cx, cv, np.zeros((m, m))],
         ])
-        rhs = -np.concatenate([r1, r2, r3])
-        step, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        step = np.linalg.lstsq(kkt, -np.concatenate([r1, r2, c]), rcond=None)[0]
         if np.linalg.norm(step) <= 1e2 * EPS * (1.0 + np.linalg.norm(x) + np.linalg.norm(v)):
             break
-        x = x + step[: sys.n_s]
-        v = v + step[sys.n_s : sys.n_s + n_aux]
-        mu = mu + step[sys.n_s + n_aux :]
+        dx, dv, dmu = np.split(step, [sys.n_s, sys.n_s + n_aux])
+        x, v, mu = x + dx, v + dv, mu + dmu
     c = constraint(x, v)
     violated = int(np.argmax(np.abs(c)))
     raise NewtonError(
@@ -388,11 +390,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
         With the failing step index if an implicit solve does not converge.
     """
     cfg = cfg or SchemeConfig()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (sys.n_s,):
-        raise StructureError(f"x0 must have length {sys.n_s}")
-    if not np.all(np.isfinite(x0)):
-        raise StructureError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = _state(sys, x0, "x0")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise StructureError(f"t_span must be finite, got ({t0}, {t1})")
@@ -407,17 +405,19 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     n_s, n_p = sys.n_s, sys.n_p
     n_aux = _aux_count(sys)
     if n_s + n_aux != sys.n:
-        raise StructureError(
-            f"the resistive relation needs n_aux = n_r for time stepping (the step "
-            f"system has {n_s + n_aux} unknowns for n = {sys.n} equations)"
-        )
+        raise StructureError(f"the resistive relation needs n_aux = n_r for time stepping (the "
+                             f"step system has {n_s + n_aux} unknowns for n = {sys.n} equations)")
     effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
     prescribed = np.empty((n_steps, n_p))
     for i in range(n_p):
         prescribed[:, i] = np.fromiter(
             (inputs.value(i, t0 + (k + 0.5) * dt) for k in range(n_steps)), float, n_steps)
-    step_map = _step_map(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt,
-                         prescribed)
+    linear_gradient = sys.ham.linear_gradient()
+    if linear_gradient is None or (sys.res is not None and sys.res.linear_maps() is None):
+        step_map = _NewtonStep(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt,
+                               prescribed)
+    else:
+        step_map = _AffineStep(sys, linear_gradient, effort_prescribed, dt, prescribed)
     solver = _NewtonSolver(cfg)
 
     t = t0 + dt * np.arange(n_steps + 1)
@@ -438,10 +438,6 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
         x[k + 1] = z[:n_s]
         v[k] = z[n_s:]
         max_residual = max(max_residual, res_norm)
-    step_map_name = step_map.name
-    # release the affine map's right-hand sides (n_steps x n floats) before the
-    # channel arrays are built
-    del step_map
     x_mid = x[:-1] + x[1:]
     x_mid *= 0.5
     f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x_mid, prescribed)
@@ -451,7 +447,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
         "dt": dt,
         "dt_requested": cfg.dt,
         "newton_tol": cfg.newton_tol,
-        "step_map": step_map_name,
+        "step_map": step_map.name,
         "newton_iterations": solver.iterations,
         "max_step_residual": max_residual,
         "jacobian_rebuilds": solver.rebuilds,

@@ -1,5 +1,6 @@
 """System assembly, trajectories, and pointwise residuals of the inclusion."""
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -265,7 +266,7 @@ class PortSignal:
     Wraps a mapping ``channel index -> (t -> value)``; constants are accepted
     in place of callables.  Channels without an entry default to the constant
     zero signal.  Signals may be discontinuous; they are sampled, never
-    integrated.
+    integrated.  A non-finite sample raises StructureError.
     """
 
     def __init__(self, signals: Optional[Dict[int, object]] = None):
@@ -294,7 +295,10 @@ class PortSignal:
 
     def value(self, channel, t):
         fn = self._signals.get(int(channel))
-        return 0.0 if fn is None else float(fn(t))
+        u = 0.0 if fn is None else float(fn(t))
+        if not math.isfinite(u):
+            raise StructureError(f"input on port channel {channel} is not finite at t = {t}: {u}")
+        return u
 
     def validate_channels(self, sys):
         prescribed = set(range(sys.n_p))

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
+from phs_kit.integrate import _NewtonStep
 
 
 def closed_form_oscillator(t):
@@ -66,6 +68,82 @@ def test_consistent_init_projects_and_is_idempotent():
     x1, report2 = consistent_init(sys_, x0)
     assert not report2.projected
     assert np.linalg.norm(x1 - x0) <= 1e-10
+
+
+def tanh_pair_system():
+    """The constrained pair with H = x_1^2/2 + (x_2 - tanh x_1)^2/2.
+
+    Its constraint e_2 = 0 is the curve x_2 = tanh x_1.
+    """
+    energy = pk.GeneralHamiltonian(
+        value_fn=lambda x: 0.5 * x[0] ** 2 + 0.5 * (x[1] - np.tanh(x[0])) ** 2,
+        gradient_fn=lambda x: np.array([x[0] - (x[1] - np.tanh(x[0])) / np.cosh(x[0]) ** 2,
+                                        x[1] - np.tanh(x[0])]),
+        dim=2,
+    )
+    return dataclasses.replace(constrained_pair_system(), ham=energy)
+
+
+def turning_damper_system():
+    """f_R = grad H, and a modulated damper whose flows lie on the line at angle theta(x).
+
+    The Dirac structure is the graph f = J e with f_s = -e_R and f_R = e_s, so
+    both resistive rows are algebraic.  The member at x is the image relation
+    f_R = lam_1 (c, s), e_R = -2 lam_1 (c, s) + lam_2 (-s, c) with
+    theta = 0.3 + 0.5 x_1; with H = |x|^2/2 the constraint curve is
+    x_2 cos theta - x_1 sin theta = 0.
+    """
+    def member(x):
+        c, s = math.cos(0.3 + 0.5 * x[0]), math.sin(0.3 + 0.5 * x[0])
+        return pk.Parametric(A=[[c, 0.0], [s, 0.0]], B=[[-2.0 * c, -s], [-2.0 * s, c]])
+
+    j = np.zeros((4, 4))
+    j[0, 2] = j[1, 3] = -1.0
+    j[2, 0] = j[3, 1] = 1.0
+    dirac = pk.DiracKernelRep(F=np.eye(4), G=-j, n_s=2, n_r=2)
+    return pk.assemble(dirac, pk.QuadraticHamiltonian(H=np.eye(2)),
+                       pk.Modulated(family=member, n_r=2), (),
+                       resistive_states=[np.zeros(2), np.ones(2)])
+
+
+def turning_constraint(x):
+    theta = 0.3 + 0.5 * x[0]
+    return x[1] * math.cos(theta) - x[0] * math.sin(theta)
+
+
+@pytest.mark.parametrize("make, curve", [
+    (tanh_pair_system, lambda x: x[1] - math.tanh(x[0])),
+    (turning_damper_system, turning_constraint),
+])
+def test_consistent_init_matches_slsqp_on_a_nonlinear_constraint(make, curve):
+    guess = np.array([1.0, 0.0])
+    x0, report = consistent_init(make(), guess)
+    ref = minimize(
+        lambda x: 0.5 * np.sum((x - guess) ** 2), guess, jac=lambda x: x - guess,
+        constraints={"type": "eq", "fun": curve}, method="SLSQP",
+        options={"ftol": 1e-15, "maxiter": 200},
+    )
+    assert ref.success
+    assert report.projected and report.converged
+    assert abs(curve(x0)) <= 1e-10
+    assert np.max(np.abs(x0 - ref.x)) <= 1e-8
+    assert report.distance == pytest.approx(np.linalg.norm(ref.x - guess), abs=1e-8)
+
+
+def test_consistent_init_rejects_non_finite_guess():
+    diffusion, _ = pk.make_example("diffusion", N=8)
+    with pytest.raises(pk.StructureError, match="finite"):
+        consistent_init(diffusion, np.full(8, np.nan))
+    with pytest.raises(pk.StructureError, match="finite"):
+        consistent_init(constrained_pair_system(), [math.inf, 0.0])
+
+
+@pytest.mark.parametrize("signal", [math.nan, math.inf, lambda t: 1.0 if t < 0.05 else -math.inf])
+def test_non_finite_prescribed_inputs_are_rejected(forced, signal):
+    with pytest.raises(pk.StructureError, match="channel 0"):
+        simulate(forced, [0.0, 0.0], {0: signal}, (0.0, 0.1), SchemeConfig(dt=0.01))
+    with pytest.raises(pk.StructureError, match="channel 0"):
+        consistent_init(potential_splitter(), [0.0], inputs={0: signal, 1: 1.0}, t0=0.1)
 
 
 def test_consistent_init_contradictory_inputs():
@@ -165,11 +243,12 @@ def test_simulate_prescribed_flow_and_effort(forced):
     )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_simulate_newton_failure_reports_step():
+    # the energy couples both states, so at dt = 0.5 Newton does not reach
+    # the step's root within 8 iterations
     blow_up = pk.GeneralHamiltonian(
-        value_fn=lambda x: float(np.exp(10 * x[0] ** 2)),
-        gradient_fn=lambda x: np.array([20 * x[0] * np.exp(10 * x[0] ** 2), 0.0]),
+        value_fn=lambda x: float(np.exp(10 * x @ x)),
+        gradient_fn=lambda x: 20 * x * np.exp(10 * x @ x),
         dim=2,
     )
     dirac = pk.DiracKernelRep(F=np.eye(2), G=np.array([[0.0, 1.0], [-1.0, 0.0]]), n_s=2)
@@ -240,6 +319,30 @@ def test_affine_step_map_matches_newton_reference(case, scheme):
         # samples that cross zero
         np.testing.assert_allclose(getattr(fast, name), expected, rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(expected), initial=0.0))
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+def test_newton_step_jacobian_matches_central_differences(scheme):
+    sys_, grid = pk.make_example("string", N=8, force="tanh")
+    rng = np.random.default_rng(7)
+    cells = grid["h"] * (np.arange(8) + 0.5)
+    x0 = np.concatenate([0.1 * rng.standard_normal(9), 0.4 * np.sin(np.pi * cells)])
+    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
+    step = _NewtonStep(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
+                       np.array([[0.3, -0.2]]))
+    step.start(0, x0)
+    z = np.concatenate([x0 + 0.05 * rng.standard_normal(x0.size),
+                        rng.standard_normal(sys_.n - x0.size)])
+    h = 1e-6
+    reference = np.column_stack([(step.residual(z + h * e) - step.residual(z - h * e)) / (2 * h)
+                                 for e in np.eye(z.size)])
+    jac = step.jacobian(z)
+    assert np.max(np.abs(jac - reference)) <= 1e-6 * np.max(np.abs(reference))
+    # the state block past -F_s/dt, where the energy enters, matches on its own scale
+    d = sys_.dirac
+    energy_block = reference[:, : x0.size] + d.F_s / step.dt
+    assert np.max(np.abs(jac[:, : x0.size] + d.F_s / step.dt - energy_block)) <= (
+        1e-6 * np.max(np.abs(energy_block)))
 
 
 def test_step_map_follows_energy_and_relation():

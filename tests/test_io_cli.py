@@ -200,6 +200,16 @@ def test_cli_simulate_rejects_non_finite_and_unparsable_numbers(runner, tmp_path
     assert runner.invoke(main, ["simulate", str(sys_path), *args]).exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "step(0.05,nan)"])
+def test_cli_simulate_rejects_non_finite_input_signal(runner, tmp_path, value):
+    sys_path = tmp_path / "forced.json"
+    runner.invoke(main, ["example", "forced_oscillator", "--out", str(sys_path)])
+    result = runner.invoke(main, ["simulate", str(sys_path), "--x0", "0,0", "--t1", "0.1",
+                                  "--dt", "0.01", "--input", f"0={value}"])
+    assert result.exit_code == 2
+    assert "channel 0" in result.output
+
+
 def test_cli_simulate_deterministic_output(runner, tmp_path):
     sys_path = tmp_path / "damped.json"
     runner.invoke(main, ["example", "damped_oscillator", "--out", str(sys_path)])

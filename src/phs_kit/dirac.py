@@ -11,8 +11,10 @@ and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from ._linalg import (
     as_matrix,
@@ -99,6 +101,11 @@ class DiracKernelRep:
     @property
     def n(self):
         return self.F.shape[0]
+
+    @cached_property
+    def csr(self):
+        """(F, G) as scipy.sparse CSR arrays, built on first use; F and G stay the stored form."""
+        return scipy.sparse.csr_array(self.F), scipy.sparse.csr_array(self.G)
 
     # column blocks
     @property

@@ -15,8 +15,11 @@ nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C].  With a
 quadratic Hamiltonian (``linear_gradient()`` not None) and a relation that is
 absent or linear and state-independent (``linear_maps()`` not None) the step
 map is affine: g = H (x0 + x1)/2 + b, the Jacobian is exact and built once,
-and Newton takes one iteration per step.  Other systems difference only the
-scheme's gradient map x1 -> g, with n_s gradient calls per Jacobian.
+and Newton takes one iteration per step; its small dense Jacobian keeps
+LAPACK's LU.  Other systems apply the sparse view of the Dirac blocks,
+difference only the scheme's gradient map x1 -> g (n_s gradient calls per
+Jacobian) and factor their CSC Jacobian with SuperLU, whose solves give the
+condition estimate through ``onenormest`` with t=1: no random vectors.
 """
 
 import math
@@ -26,7 +29,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.linalg.lapack import dgecon, dgetrs
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from ._linalg import EPS, null_space_basis
 from .energy import discrete_gradient, ham_grad
@@ -65,8 +70,8 @@ class SchemeConfig:
             raise StructureError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise StructureError(f"newton_tol must be finite and positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise StructureError("newton_max_iter must be >= 1")
+        if type(self.newton_max_iter) is not int or self.newton_max_iter < 1:
+            raise StructureError(f"newton_max_iter must be an int >= 1, got {self.newton_max_iter!r}")
 
 
 def _channels(sys, effort_prescribed, v, x, prescribed):
@@ -174,7 +179,7 @@ class _NewtonStep:
 
     def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
         self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
-        self.dt, self.prescribed = dt, prescribed
+        self.dt, self.prescribed, (self.F, self.G) = dt, prescribed, sys.dirac.csr
         self.x0 = self.u = None
 
     def start(self, k, x_k):
@@ -193,45 +198,53 @@ class _NewtonStep:
                                        0.5 * (x0 + x1), self.u)
         flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
         efforts = np.concatenate([self.gradient(x1), e_r, e_p])
-        return sys.dirac.F @ flows + sys.dirac.G @ efforts
+        return self.F @ flows + self.G @ efforts
 
     def jacobian(self, z):
-        d, x1 = self.sys.dirac, z[: self.x0.size]
-        return np.hstack([-d.F_s / self.dt + d.G_s @ _fd_jacobian(self.gradient, x1),
-                          _aux_block(self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))])
+        n_s, x1 = self.x0.size, z[: self.x0.size]
+        j_g = scipy.sparse.csr_array(_fd_jacobian(self.gradient, x1))
+        return scipy.sparse.hstack([-self.F[:, :n_s] / self.dt + self.G[:, :n_s] @ j_g, _aux_block(
+            self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
 
 
 class _NewtonSolver:
     """Newton iteration with a Jacobian (LU) cached across steps.
 
-    The step map supplies the residual and its Jacobian.  The factorization
-    is rebuilt when progress stalls; for affine problems the first
-    factorization is exact and is reused for the whole run.
+    The step map supplies the residual and its Jacobian (SuperLU factors a
+    sparse one, LAPACK a dense one).  The factorization is rebuilt when
+    progress stalls; for affine problems the first one is exact and reused.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.lu = self.condition = None
+        self.lu = self.lu_solve = self.condition = None
         self.rebuilds = self.iterations = 0
 
     def _refresh(self, step_map, z):
         jac = step_map.jacobian(z)
+        sparse = scipy.sparse.issparse(jac)
         try:
+            if sparse and not np.all(np.isfinite(jac.data)):
+                raise ValueError("array must not contain infs or NaNs")
             with warnings.catch_warnings():
-                # a zero pivot surfaces as a non-finite iterate handled below
+                # a LAPACK zero pivot surfaces as a non-finite iterate handled below
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self.lu = scipy.linalg.lu_factor(jac)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
+                self.lu = lu = splu(jac) if sparse else scipy.linalg.lu_factor(jac)
+        except (ValueError, RuntimeError, scipy.linalg.LinAlgError) as exc:
             raise NewtonError(f"singular or non-finite step Jacobian: {exc}") from exc
-        if self.condition is None:
+        self.lu_solve = lu.solve if sparse else self._getrs
+        if self.condition is None and sparse:
+            # t=1 draws no random vectors: deterministic, global RNG untouched
+            inverse = LinearOperator(jac.shape, lu.solve, lambda r: lu.solve(r, "T"), dtype=float)
+            self.condition = float(scipy.sparse.linalg.norm(jac, 1) * onenormest(inverse, t=1))
+        elif self.condition is None:
             # 1-norm estimate from the factors: O(n^2), where cond's SVD is O(n^3)
-            rcond, _ = dgecon(self.lu[0], np.linalg.norm(jac, 1))
+            rcond, _ = dgecon(lu[0], np.linalg.norm(jac, 1))
             self.condition = 1.0 / rcond if rcond > 0 else math.inf
         self.rebuilds += 1
 
-    def _lu_solve(self, r):
-        # the LAPACK routine behind scipy.linalg.lu_solve, without its
-        # per-call wrapper; the residual norm is checked finite before every solve
+    def _getrs(self, r):
+        # scipy.linalg.lu_solve without its per-call checks; r is checked finite first
         dz, info = dgetrs(*self.lu, r)
         if info != 0:
             raise NewtonError(f"LU solve failed (LAPACK getrs info {info})")
@@ -254,14 +267,14 @@ class _NewtonSolver:
             refreshed = self.lu is None
             if refreshed:
                 self._refresh(step_map, z)
-            z_new = z - self._lu_solve(r)
+            z_new = z - self.lu_solve(r)
             r_new = residual(z_new)
             norm_new = math.sqrt(r_new @ r_new)
             if (not norm_new <= 0.5 * norm) and norm_new > tol and not refreshed:
                 # stale cached Jacobian: rebuild at the current iterate and retry
                 self._refresh(step_map, z)
                 refreshed = True
-                z_new = z - self._lu_solve(r)
+                z_new = z - self.lu_solve(r)
                 r_new = residual(z_new)
                 norm_new = math.sqrt(r_new @ r_new)
             if refreshed and norm_new > tol and norm_new >= 0.9 * norm:
@@ -381,8 +394,9 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
 
     The metadata records the step map ("affine" or "newton", see the module
     docstring), the Newton iterations summed over all steps, the largest
-    converged step residual, the Jacobian rebuilds, and a 1-norm estimate of
-    the condition number of the first step Jacobian.
+    converged step residual, the Jacobian rebuilds, and the first Jacobian's
+    1-norm condition estimate: ``dgecon``, or on the Newton path SuperLU's
+    ``onenormest`` with t=1, which draws no random vectors (deterministic).
 
     Raises
     ------

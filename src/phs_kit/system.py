@@ -154,10 +154,10 @@ def _inclusion_defects(sys, x, xdot, f_r, e_r, f_p, e_p):
     length m: || F (-xdot; f_R; f_P) + G (grad H(x); e_R; e_P) || and the
     distance of (f_R, e_R) to the relation at x.
     """
-    d = sys.dirac
-    flows = np.hstack([-xdot, f_r, f_p])
-    efforts = np.hstack([sys.ham.gradient(x), e_r, e_p])
-    dirac = np.linalg.norm(flows @ d.F.T + efforts @ d.G.T, axis=1)
+    F, G = sys.dirac.csr
+    # one column per point, so the sparse products read the stacks in place
+    dirac = np.linalg.norm(F @ np.vstack([-xdot.T, f_r.T, f_p.T])
+                           + G @ np.vstack([sys.ham.gradient(x).T, e_r.T, e_p.T]), axis=0)
     resistive = np.zeros(len(x)) if sys.res is None else sys.res.distance(x, f_r, e_r)
     return dirac, resistive
 

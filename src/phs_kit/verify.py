@@ -83,11 +83,12 @@ def weak_residual(sys, traj):
     x_lo = (1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:]
     x_hi = (1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:]
 
+    F_s, G_s = (m[:, : d.n_s] for m in d.csr)
     const = (traj.e_r @ d.G_r.T + traj.e_p @ d.G_p.T
              + traj.f_r @ d.F_r.T + traj.f_p @ d.F_p.T)
-    g_lo = sys.ham.gradient(x_lo) @ d.G_s.T + const
-    g_hi = sys.ham.gradient(x_hi) @ d.G_s.T + const
-    s_mean = 0.5 * (x_lo + x_hi) @ d.F_s.T
+    g_lo = (G_s @ sys.ham.gradient(x_lo).T + const.T).T
+    g_hi = (G_s @ sys.ham.gradient(x_hi).T + const.T).T
+    s_mean = (F_s @ (0.5 * (x_lo + x_hi)).T).T
 
     # hat at node k: rising over interval k-1, falling over interval k
     rising = _GAUSS_LO * g_lo + _GAUSS_HI * g_hi

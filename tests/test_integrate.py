@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import dgecon
 from scipy.optimize import minimize
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
-from phs_kit.integrate import _NewtonStep
+from phs_kit.integrate import _AffineStep, _NewtonStep, _aux_block, _fd_jacobian
 
 
 def closed_form_oscillator(t):
@@ -37,6 +40,12 @@ def test_scheme_config_validation():
         SchemeConfig(scheme="forward_euler")
     with pytest.raises(pk.StructureError):
         SchemeConfig(newton_tol=-1.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, math.nan, 3.0, True, 0, "5"])
+def test_scheme_config_requires_integer_newton_max_iter(max_iter):
+    with pytest.raises(pk.StructureError, match="newton_max_iter"):
+        SchemeConfig(newton_max_iter=max_iter)
 
 
 @pytest.mark.parametrize("x0, t1, cfg_kwargs", [
@@ -343,6 +352,77 @@ def test_newton_step_jacobian_matches_central_differences(scheme):
     energy_block = reference[:, : x0.size] + d.F_s / step.dt
     assert np.max(np.abs(jac[:, : x0.size] + d.F_s / step.dt - energy_block)) <= (
         1e-6 * np.max(np.abs(energy_block)))
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+def test_newton_step_jacobian_is_the_sparse_dense_assembly(scheme):
+    sys_, grid = pk.make_example("string", N=8, force="tanh")
+    rng = np.random.default_rng(7)
+    x0 = np.concatenate([0.1 * rng.standard_normal(9),
+                         0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
+    step = _NewtonStep(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
+                       np.array([[0.3, -0.2]]))
+    step.start(0, x0)
+    x1 = x0 + 0.05 * rng.standard_normal(x0.size)
+    jac = step.jacobian(np.concatenate([x1, rng.standard_normal(sys_.n - x0.size)]))
+    assert scipy.sparse.issparse(jac) and jac.format == "csc"
+    d = sys_.dirac
+    dense = np.hstack([-d.F_s / step.dt + d.G_s @ _fd_jacobian(step.gradient, x1),
+                       _aux_block(sys_, effort_prescribed, 0.5 * (x0 + x1))])
+    assert np.max(np.abs(jac.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_sparse_condition_estimate_matches_dgecon():
+    sys_, grid = pk.make_example("string", N=8, force="tanh")
+    x0 = np.concatenate([np.zeros(9), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    inputs = {1: lambda t: 0.2 * math.sin(2.0 * t)}
+    traj = simulate(sys_, x0, inputs, (0.0, 0.05), SchemeConfig(dt=1e-2))
+    condition = traj.metadata["jacobian_condition"]
+    assert type(condition) is float
+    # the first factorization happens at the predictor of step 0
+    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
+    step = _NewtonStep(sys_, False, effort_prescribed, traj.dt,
+                       np.array([[inputs[1](0.5 * traj.dt) if i == 1 else 0.0
+                                  for i in range(sys_.n_p)]]))
+    step.start(0, x0)
+    dense = step.jacobian(np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])).toarray()
+    rcond, _ = dgecon(scipy.linalg.lu_factor(dense)[0], np.linalg.norm(dense, 1))
+    assert condition == pytest.approx(1.0 / rcond, rel=1e-12)
+
+
+def test_simulate_leaves_the_global_rng_alone():
+    sys_, grid = pk.make_example("string", N=64, force="tanh")
+    x0 = np.concatenate([np.zeros(65), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(64) + 0.5))])
+    before = np.random.get_state()
+    simulate(sys_, x0, {1: lambda t: 0.2 * math.sin(2.0 * t)}, (0.0, 0.01), SchemeConfig())
+    after = np.random.get_state()
+    assert after[0] == before[0] and np.array_equal(after[1], before[1])
+    assert after[2:] == before[2:]
+
+
+@pytest.mark.parametrize("defect", ["zero_row", "nan_entry"])
+@pytest.mark.parametrize("step_cls", [_AffineStep, _NewtonStep])
+def test_broken_step_jacobian_raises_newton_error(monkeypatch, step_cls, defect):
+    damped = pk.damped_oscillator(1.0)
+    sys_ = damped if step_cls is _AffineStep else as_general(damped)
+    jacobian = step_cls.jacobian
+
+    def broken(self, z):
+        jac = jacobian(self, z)
+        sparse = scipy.sparse.issparse(jac)
+        dense = jac.toarray() if sparse else jac.copy()
+        if defect == "zero_row":
+            dense[1] = 0.0
+        else:
+            dense[0, 0] = math.nan
+        return scipy.sparse.csc_array(dense) if sparse else dense
+
+    monkeypatch.setattr(step_cls, "jacobian", broken)
+    with pytest.raises(pk.NewtonError) as err:
+        simulate(sys_, [0.5, 0.5], None, (0.0, 0.01), SchemeConfig())
+    assert err.value.step == 0
+    assert not isinstance(err.value.__cause__, scipy.linalg.LinAlgError)
 
 
 def test_step_map_follows_energy_and_relation():

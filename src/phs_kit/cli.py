@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 check/validation failure, 2 usage or parse error,
 import json
 import re
 import sys as _sys
+import warnings
 
 import click
 import numpy as np
@@ -76,7 +77,10 @@ def _parse_signal(expr):
         return lambda t: v if t >= t0 else 0.0
     if expr.startswith("csv:") or expr.endswith(".csv"):
         path = expr[4:] if expr.startswith("csv:") else expr
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty table is refused by the shape check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
         if table.shape[0] < 1 or table.shape[1] != 2:
             raise ValueError(f"{path} must hold at least one row of two columns "
                              f"(time, value), got shape {table.shape}")
@@ -90,6 +94,13 @@ def _parse_signal(expr):
 
         return hold
     return float(expr)
+
+
+def _positive(ctx, param, value):
+    """Click callback: a tolerance or a step must be finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and positive, got {value}")
+    return value
 
 
 def _parse_x0(text, n_s):
@@ -111,7 +122,8 @@ def main():
 
 @main.command("validate")
 @click.argument("system_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-10, show_default=True, help="Skew-defect tolerance.")
+@click.option("--tol", default=1e-10, show_default=True, callback=_positive,
+              help="Skew-defect tolerance.")
 def cmd_validate(system_file, tol):
     """Validate a system file; exit 0 iff all structure checks pass."""
     _load_system(system_file, tol, report=True)
@@ -122,7 +134,7 @@ def cmd_validate(system_file, tol):
 @click.option("--x0", default=None, help="Comma-separated initial state (default zeros).")
 @click.option("--t0", default=0.0, show_default=True)
 @click.option("--t1", default=1.0, show_default=True)
-@click.option("--dt", default=1e-3, show_default=True)
+@click.option("--dt", default=1e-3, show_default=True, callback=_positive)
 @click.option("--scheme", type=click.Choice(["implicit_midpoint", "discrete_gradient"]),
               default="implicit_midpoint", show_default=True)
 @click.option("--newton-tol", default=1e-12, show_default=True)
@@ -132,8 +144,6 @@ def cmd_validate(system_file, tol):
               help="Write the trajectory CSV here instead of stdout.")
 def cmd_simulate(system_file, x0, t0, t1, dt, scheme, newton_tol, inputs, out):
     """Integrate a system and emit the trajectory CSV."""
-    if dt <= 0:
-        raise click.UsageError("--dt must be positive")
     if t1 <= t0:
         raise click.UsageError("--t1 must exceed --t0")
     sys_obj = _load_system(system_file)
@@ -169,9 +179,9 @@ def cmd_simulate(system_file, x0, t0, t1, dt, scheme, newton_tol, inputs, out):
 @click.argument("trajectory_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["weak", "strong", "energy", "all"]),
               default="all", show_default=True)
-@click.option("--tol", default=1e-6, show_default=True,
+@click.option("--tol", default=1e-6, show_default=True, callback=_positive,
               help="Normalized tolerance for the weak residual and the energy gap.")
-@click.option("--strong-tol", default=2e-2, show_default=True,
+@click.option("--strong-tol", default=2e-2, show_default=True, callback=_positive,
               help="Normalized tolerance for the pointwise (classical) audit; "
                    "piecewise-constant channel data sits at O(dt), kinks at O(jump).")
 def cmd_check(system_file, trajectory_file, mode, tol, strong_tol):

@@ -244,7 +244,7 @@ def validate_image(rep, tol=1e-10):
 
 def _validate(skew, stacked, n, tol):
     """Validation from the symmetric defect matrix and the stacked representation."""
-    if tol <= 0:
+    if not tol > 0:
         raise StructureError("tol must be positive")
     defect = float(np.max(np.abs(skew))) if skew.size else 0.0
     rank, svals, threshold = numerical_rank(stacked)

@@ -1,14 +1,15 @@
-"""Hamiltonians, discrete gradients, and passive resistive relations.
+"""Hamiltonians, the discrete gradient, and passive resistive relations.
 
 This module alone knows which energy and relation types exist; the
 simulator, the audits and the file layer use only these methods.  An energy
 has ``value`` and ``gradient`` on one state (n_s,) or a batch (m, n_s),
-``discrete_gradient(x, y)``, ``linear_gradient()`` -> (H, b) when its
-gradient is the affine map H x + b (else None), and ``to_dict`` (None when it
-has no file form).  A relation has ``n_aux`` (its auxiliary unknowns in a
-time step), ``at(x)`` (the concrete relation at a state), ``pair(v, x)`` ->
-(f_R, e_R), ``linear_maps()`` -> (A, B) when f_R = A v and e_R = B v at
-every state (else None), ``check(tol, states)`` -> ResistiveValidation,
+``linear_gradient()`` -> (H, b) when its gradient is the affine map H x + b
+(else None), and ``to_dict`` (None when it has no file form); the one
+discrete gradient, ``discrete_gradient(h, x, y)``, needs only these.  A
+relation has ``n_aux`` (its auxiliary unknowns in a time step), ``at(x)``
+(the concrete relation at a state), ``pair(v, x)`` -> (f_R, e_R),
+``linear_maps()`` -> (A, B) when f_R = A v and e_R = B v at every state
+(else None), ``check(tol, states)`` -> ResistiveValidation,
 ``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair`` and ``distance`` take
 one vector or a batch over leading axes; the state x matters only to a
 Modulated relation, which resolves a batch row by row.
@@ -21,6 +22,10 @@ import numpy as np
 
 from ._linalg import as_matrix, row_space_basis
 from .errors import DomainError, StructureError
+
+# 6-point Gauss-Legendre rule mapped to [0, 1] for the averaged vector field
+_AVF_NODES, _AVF_WEIGHTS = np.polynomial.legendre.leggauss(6)
+_AVF_NODES, _AVF_WEIGHTS = 0.5 * (_AVF_NODES + 1.0), 0.5 * _AVF_WEIGHTS
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -76,15 +81,6 @@ class QuadraticHamiltonian:
         """Gradient of a state, or of each row of a batch."""
         return np.asarray(x, dtype=float) @ self.H.T + self.b
 
-    def discrete_gradient(self, x, y):
-        """The midpoint gradient: for a quadratic energy it is an exact discrete gradient.
-
-        grad H((x+y)/2)·(y-x) = H(y) - H(x) holds in exact arithmetic for
-        symmetric H, so no chord correction (a difference of energies divided
-        by |y-x|^2, which amplifies roundoff) is applied.
-        """
-        return self.gradient(0.5 * (x + y))
-
     def linear_gradient(self):
         """(H, b): the gradient is the affine map H x + b."""
         return self.H, self.b
@@ -131,21 +127,6 @@ class GeneralHamiltonian:
             raise StructureError(f"gradient must have length {self.dim}, got {g.shape}")
         return g
 
-    def discrete_gradient(self, x, y):
-        """Midpoint gradient with chord correction.
-
-        Returns g = grad H(m) + (H(y) - H(x) - grad H(m)·(y-x)) (y-x)/|y-x|^2
-        with m the midpoint, so that g·(y-x) = H(y) - H(x) holds to roundoff.
-        For x == y this is grad H(x).
-        """
-        d = y - x
-        nd2 = float(d @ d)
-        g_mid = self.gradient(0.5 * (x + y))
-        if nd2 == 0.0:
-            return g_mid
-        correction = (self.value(y) - self.value(x) - g_mid @ d) / nd2
-        return g_mid + correction * d
-
     def linear_gradient(self):
         """None: the gradient of a general energy is not known to be affine."""
         return None
@@ -172,17 +153,22 @@ def ham_grad(h, x):
 
 
 def discrete_gradient(h, x, y):
-    """Discrete gradient g of the energy between states x and y.
+    """Averaged vector field g = ∫_0^1 grad H(x + s (y - x)) ds between states x and y.
 
-    g·(y-x) = H(y) - H(x), and g = grad H(x) for x == y.  A quadratic energy
-    returns the midpoint gradient, which satisfies this exactly; a general
-    one adds the chord correction, which satisfies it to roundoff.
+    g·(y-x) = H(y) - H(x) and g(x, x) = grad H(x).  An affine gradient
+    (``linear_gradient()`` not None) gives the midpoint gradient, exactly.
+    Otherwise a fixed 6-point Gauss-Legendre rule on [0, 1] integrates it:
+    exact for polynomial H up to degree 12, else the energy defect is about
+    1.9e-16 |y-x|^13 max ||D^13 H|| along the segment.  A ``domain``
+    predicate is checked at the rule's interior points, not at x and y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (h.dim,) or y.shape != (h.dim,):
         raise StructureError(f"states must have length {h.dim}, got {x.shape} and {y.shape}")
-    return h.discrete_gradient(x, y)
+    if h.linear_gradient() is not None:
+        return h.gradient(0.5 * (x + y))
+    return _AVF_WEIGHTS @ h.gradient(x + _AVF_NODES[:, None] * (y - x))
 
 
 def check_gradient(h, points, step=1e-6, rtol=1e-5):
@@ -416,7 +402,7 @@ def resistive_check(rel, tol=1e-10, states=None):
     sample states (required).  The eigenvalue tolerance is scaled by the
     matrix max-norm to be robust to roundoff.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise StructureError("tol must be positive")
     if rel is None:
         return ResistiveValidation(True, 0.0, 0.0, tol, "none")

@@ -5,9 +5,10 @@ Each step solves the square system
     F (-(x1 - x0)/dt; f_R; f_P) + G (g; e_R; e_P) = 0
 
 for the next state, the resistive unknowns and the free port halves, where g
-is grad H at the interval midpoint (implicit_midpoint) or the discrete
-gradient between the endpoint states (discrete_gradient).  The discrete
-gradient makes the per-step energy balance an exact identity.
+is grad H at the interval midpoint (implicit_midpoint) or the averaged vector
+field between the endpoint states (discrete_gradient, ``energy.discrete_gradient``).
+The latter makes the per-step energy balance an identity: to roundoff for
+polynomial energies up to degree 12, to a quadrature error otherwise.
 
 The residual is linear in the auxiliary unknowns v = (v_R, v_P), through
 C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)] (``_aux_block``); only g is

@@ -150,7 +150,8 @@ def energy_report(sys, traj):
 
     Uses the same interval quadrature as the integrator (piecewise-constant
     channel values times dt), so discrete-gradient trajectories close the
-    balance to solver tolerance.
+    balance to solver tolerance, plus the averaged vector field's quadrature
+    error for an energy that is not a polynomial of degree <= 12.
     """
     traj.check_shapes(sys)
     h = sys.ham.value(traj.x)

@@ -31,6 +31,16 @@ def test_validate_failure_reports_defect():
     assert report.rank == 1  # rank is fine, skewness is not
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+def test_validate_refuses_non_positive_or_nan_tol(tol):
+    with pytest.raises(pk.StructureError):
+        pk.validate_kernel(pk.DiracKernelRep(F=np.eye(2), G=J2, n_s=2), tol=tol)
+    with pytest.raises(pk.StructureError):
+        pk.validate_image(pk.DiracImageRep(K=-J2, L=np.eye(2), n_s=2), tol=tol)
+    with pytest.raises(pk.StructureError):
+        pk.resistive_check(pk.LinearGraph(R=[[1.0]]), tol=tol)
+
+
 def test_validate_dimension_mismatch_is_structural():
     with pytest.raises(pk.StructureError):
         pk.DiracKernelRep(F=np.eye(2), G=J2, n_s=1)  # blocks do not sum to n

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phs_kit as pk
 from phs_kit import discrete_gradient, ham_eval, ham_grad, resistive_check, resistive_residual
@@ -78,15 +80,47 @@ def test_discrete_gradient_quadratic_is_midpoint_gradient_at_close_states(rng):
         x = rng.standard_normal(2)
         y = x + 1e-9 * rng.standard_normal(2)
         np.testing.assert_array_equal(discrete_gradient(h, x, y), h.gradient(0.5 * (x + y)))
-
-
-def test_discrete_gradient_chord_identity(rng):
     h = quartic()
-    for _ in range(100):
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        g = discrete_gradient(h, x, y)
-        chord = g @ (y - x)
-        assert chord == pytest.approx(ham_eval(h, y) - ham_eval(h, x), abs=1e-12)
+    for _ in range(20):
+        x = rng.standard_normal(3)
+        y = x + 1e-9 * rng.standard_normal(3)
+        err = np.max(np.abs(discrete_gradient(h, x, y) - h.gradient(0.5 * (x + y))))
+        assert err <= 1e-12
+
+
+@st.composite
+def polynomial_energies(draw):
+    """H(x) = sum_k c_k (a_k·x)^d_k with degrees d_k <= 12, and two states x, y.
+
+    Returns the energy and the roundoff scale sum_k d_k |c_k| (2 |a_k|_1 r)^d_k,
+    r = max(1, |x|_inf, |y|_inf), which bounds every term of H and of g·(y-x).
+    """
+    n = draw(st.integers(1, 6))
+    terms = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = draw(arrays(float, (terms, n), elements=unit))
+    c = draw(arrays(float, terms, elements=unit))
+    d = draw(arrays(int, terms, elements=st.integers(1, 12)))
+    x, y = (draw(arrays(float, n, elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+            for _ in range(2))
+    h = pk.GeneralHamiltonian(value_fn=lambda z: float(c @ (a @ z) ** d),
+                              gradient_fn=lambda z: a.T @ (c * d * (a @ z) ** (d - 1)), dim=n)
+    r = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    scale = float(np.sum(d * np.abs(c) * (2.0 * np.sum(np.abs(a), axis=1) * r) ** d))
+    return h, x, y, scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polynomial_energies())
+def test_discrete_gradient_chord_identity(case):
+    # the 6-point rule integrates the gradient of a degree-12 energy exactly,
+    # so only roundoff separates g·(y - x) from H(y) - H(x)
+    h, x, y, scale = case
+    eps = np.finfo(float).eps
+    tol = 16 * x.size * eps * scale + np.finfo(float).tiny  # tiny: terms that underflow
+    g = discrete_gradient(h, x, y)
+    assert abs(g @ (y - x) - (ham_eval(h, y) - ham_eval(h, x))) <= tol
+    np.testing.assert_allclose(discrete_gradient(h, x, x), ham_grad(h, x), rtol=4 * eps, atol=tol)
 
 
 def test_quadratic_self_duality(rng):

@@ -221,8 +221,7 @@ def test_simulate_dg_energy_identity_per_step():
 
 def test_simulate_dg_second_order():
     # discrete-gradient scheme keeps order 2 on a smooth nonlinear problem;
-    # Richardson differences avoid needing a reference below the chord
-    # correction's roundoff floor
+    # Richardson differences need no reference solution
     spec = pk.StringSpec(N=4, force=lambda xi, eps: np.tanh(eps))
     sys_, grid = pk.string_system(spec)
     x0 = np.concatenate([np.zeros(5), 0.4 * np.sin(np.pi * grid["cells"])])
@@ -451,11 +450,25 @@ def test_affine_steps_take_one_newton_iteration(name, scheme):
 
 
 def test_dg_forced_oscillator_near_moving_equilibrium():
-    # the state passes close to the force's moving equilibrium, where a
-    # chord-corrected discrete gradient stalled Newton at its roundoff floor
+    # the state passes close to the force's moving equilibrium, where steps
+    # are short: a discrete gradient that divides by |x1 - x0|^2 would stall
+    # Newton at its roundoff floor
     force = {0: lambda t: 0.88 * math.sin(2.5 * t + 1.1)}
     sys_ = pk.forced_oscillator()
     cfg = SchemeConfig(scheme="discrete_gradient", dt=1e-3)
     traj = simulate(sys_, [-0.84, 0.21], force, (0.0, 10.0), cfg)
     assert traj.steps == 10_000
+    assert pk.energy_report(sys_, traj).max_abs_gap <= 1e-12
+
+
+def test_dg_shaken_tanh_string_at_n128():
+    # at this size the step's roundoff floor sits near newton_tol, so the
+    # discrete gradient must not amplify roundoff (dividing by |x1 - x0|^2 does)
+    sys_, _ = pk.make_example("string", N=128, force="tanh")
+    cells = (np.arange(128) + 0.5) / 128
+    x0 = np.concatenate([np.zeros(129), 0.3 * np.sin(np.pi * cells)])
+    shake = {1: lambda t: 0.3 * np.sin(2.0 * t)}
+    traj = simulate(sys_, x0, shake, (0.0, 0.3), SchemeConfig("discrete_gradient", 1e-3))
+    assert traj.steps == 300
+    assert traj.metadata["jacobian_rebuilds"] == 1
     assert pk.energy_report(sys_, traj).max_abs_gap <= 1e-12

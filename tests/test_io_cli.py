@@ -167,6 +167,23 @@ def test_cli_validate_malformed_json(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command, option", [
+    ("validate", "--tol"), ("check", "--tol"), ("check", "--strong-tol"),
+])
+def test_cli_rejects_non_positive_or_nan_tolerance(runner, tmp_path, command, option, value):
+    sys_path = tmp_path / "osc.json"
+    runner.invoke(main, ["example", "oscillator", "--out", str(sys_path)])
+    traj_path = tmp_path / "traj.csv"
+    runner.invoke(main, ["simulate", str(sys_path), "--x0", "1,0", "--t1", "0.1",
+                         "--dt", "1e-2", "--out", str(traj_path)])
+    files = [str(sys_path)] + ([str(traj_path)] if command == "check" else [])
+    result = runner.invoke(main, [command, *files, option, value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output and "must be finite and positive" in result.output
+
+
 def test_cli_simulate_matches_closed_form(runner, tmp_path):
     sys_path = tmp_path / "osc.json"
     runner.invoke(main, ["example", "oscillator", "--out", str(sys_path)])
@@ -301,6 +318,7 @@ def test_cli_example_diffusion_validates(runner, tmp_path):
     assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_cli_csv_input_signal(runner, tmp_path):
     sys_path = tmp_path / "forced.json"
     runner.invoke(main, ["example", "forced_oscillator", "--out", str(sys_path)])

@@ -18,24 +18,6 @@ def rank_tolerance(shape, smax):
     return max(shape) * EPS * smax
 
 
-def numerical_rank(m):
-    """Rank of ``m`` with the documented threshold.
-
-    Returns
-    -------
-    rank : int
-    svals : ndarray
-        All singular values (descending).
-    threshold : float
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return 0, np.zeros(0), 0.0
-    svals = np.linalg.svd(m, compute_uv=False)
-    threshold = rank_tolerance(m.shape, svals[0] if svals.size else 0.0)
-    return int(np.count_nonzero(svals > threshold)), svals, threshold
-
-
 def null_space_basis(m):
     """Orthonormal basis (columns) of ker(m), using the shared rank rule."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

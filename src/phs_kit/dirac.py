@@ -8,18 +8,26 @@ complement under the indefinite pairing
 Two concrete representations are supported: the kernel form ker[F, G] and the
 image form im[K; L].  A structure in kernel form is valid iff rank [F, G] = n
 and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
+
+Validation decides both conditions from n x n products, never from an SVD of
+[F, G]: the skew defect from F G^T, the rank from the smallest eigenvalue of
+the Gram matrix F F^T + G G^T.  Below ``SPARSE_MIN_N`` bonds, or for blocks
+that are not sparse, the products and the eigenvalues are dense; otherwise they
+use the cached CSR view of F and G, SuperLU and shift-invert Lanczos.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from ._linalg import (
+    EPS,
     as_matrix,
     null_space_basis,
-    numerical_rank,
     rank_tolerance,
     subspace_angle_max,
 )
@@ -40,6 +48,12 @@ __all__ = [
     "substructure_D0",
     "extrapolation_split",
 ]
+
+# Validation goes sparse from SPARSE_MIN_N bonds (the measured crossover on the
+# string and diffusion), unless F and G hold more than SPARSE_MAX_ROW_NNZ
+# nonzeros per row: on dense blocks CSR products and SuperLU lose to LAPACK.
+SPARSE_MIN_N = 200
+SPARSE_MAX_ROW_NNZ = 16
 
 
 def _check_partition(n, n_s, n_r, n_p):
@@ -168,10 +182,15 @@ class DiracImageRep:
 class DiracValidation:
     """Outcome of a Dirac-structure validation.
 
-    ``skew_defect`` is the max-norm of F G^T + G F^T (resp. K^T L + L^T K) and
-    ``rank`` the numerical rank of [F, G] (resp. [K; L]); ``threshold`` is the
-    singular-value cutoff used, ``sigma_min`` the smallest singular value, so
-    the rank gap is visible to callers.
+    For a kernel form ker[F, G], ``skew_defect`` is the max-norm of
+    F G^T + G F^T and ``sigma_min`` = sqrt(lambda_min(M)) the smallest singular
+    value of [F, G], taken from the Gram matrix M = F F^T + G G^T.  An image
+    form im[K; L] is read as ker[L^T, K^T].  Each entry of M is an inner
+    product of two rows of [F, G] with at most m <= 2n nonzeros, so
+    lambda_min(M) is known only to about m * eps * ||M||, and
+    ``threshold`` = sqrt(m * eps * ||M||_1) is the cutoff on singular values:
+    ``rank`` counts those above it, and the rank test passes iff
+    ``sigma_min`` > ``threshold``.
     """
 
     passed: bool
@@ -226,38 +245,80 @@ def validate_kernel(rep, tol=1e-10):
     ----------
     rep : DiracKernelRep
     tol : float
-        Bound on the max-norm of F G^T + G F^T.  The rank test uses the
-        standard numerical-rank convention (singular values below
-        max(n, 2n) * eps * sigma_max count as zero).
+        Bound on the max-norm of F G^T + G F^T.  The rank test needs no
+        tolerance: [F, G] has rank n iff its smallest singular value
+        sigma_min = sqrt(lambda_min(F F^T + G G^T)) exceeds the threshold
+        sqrt(m * eps * ||F F^T + G G^T||_1), m the most nonzeros in a row of
+        [F, G] (2n for dense blocks): the accuracy to which the Gram matrix
+        determines it.
 
     Returns
     -------
     DiracValidation
     """
-    return _validate(rep.F @ rep.G.T + rep.G @ rep.F.T, np.hstack([rep.F, rep.G]), rep.n, tol)
-
-
-def validate_image(rep, tol=1e-10):
-    """Check rank [K; L] = n and K^T L + L^T K = 0 for an image representation."""
-    return _validate(rep.K.T @ rep.L + rep.L.T @ rep.K, np.vstack([rep.K, rep.L]), rep.n, tol)
-
-
-def _validate(skew, stacked, n, tol):
-    """Validation from the symmetric defect matrix and the stacked representation."""
     if not tol > 0:
         raise StructureError("tol must be positive")
-    defect = float(np.max(np.abs(skew))) if skew.size else 0.0
-    rank, svals, threshold = numerical_rank(stacked)
-    sigma_min = float(svals[-1]) if svals.size else 0.0
+    n = rep.n
+    sparse = (n >= SPARSE_MIN_N
+              and np.count_nonzero(rep.F) + np.count_nonzero(rep.G) <= SPARSE_MAX_ROW_NNZ * n)
+    if sparse:
+        f, g = rep.csr
+        longest = (np.diff(f.indptr) + np.diff(g.indptr)).max()
+        gram = f @ f.T + g @ g.T
+    else:
+        f, g = rep.F, rep.G
+        stacked = np.concatenate((f, g), axis=1)
+        longest = (stacked != 0).sum(axis=1).max()
+        gram = stacked @ stacked.T
+    cross = f @ g.T
+    defect = float(abs(cross + cross.T).max())
+    threshold = math.sqrt(int(longest) * EPS * float(abs(gram).sum(axis=0).max()))
+    lam_min = _sparse_gram_min(gram.tocsc()) if sparse else None
+    if lam_min is not None and np.sqrt(max(lam_min, 0.0)) > threshold:
+        lam = np.array([lam_min])
+    else:
+        # dense blocks, or a sparse rank deficiency: count every small eigenvalue
+        lam = np.linalg.eigvalsh(gram.toarray() if sparse else gram)
+    sigma = np.sqrt(np.maximum(lam, 0.0))  # ascending
+    rank = n - int(np.searchsorted(sigma, threshold, side="right"))
     return DiracValidation(
         passed=(rank == n) and (defect <= tol),
         rank=rank,
         rank_required=n,
         skew_defect=defect,
         tol=float(tol),
-        sigma_min=sigma_min,
+        sigma_min=float(sigma[0]),
         threshold=threshold,
     )
+
+
+def validate_image(rep, tol=1e-10):
+    """Check rank [K; L] = n and K^T L + L^T K = 0 for an image representation.
+
+    im[K; L] = ker[L^T, K^T], whose defect and Gram matrix are L^T K + K^T L
+    and L^T L + K^T K, so both forms share the rule of ``validate_kernel``.
+    """
+    return validate_kernel(image_to_kernel(rep), tol)
+
+
+def _sparse_gram_min(gram):
+    """Smallest eigenvalue of a sparse Gram matrix by SuperLU and shift-invert Lanczos.
+
+    The fixed start vector makes repeated calls agree.  None when the factor is
+    exactly singular or the eigensolve does not converge.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(gram)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    inverse = scipy.sparse.linalg.LinearOperator(gram.shape, matvec=lu.solve, dtype=float)
+    start = np.random.default_rng(0).standard_normal(gram.shape[0])
+    try:
+        lam = scipy.sparse.linalg.eigsh(gram, k=1, sigma=0.0, OPinv=inverse, v0=start,
+                                        return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError:
+        return None
+    return float(lam[0])
 
 
 def pairing(d1, d2):

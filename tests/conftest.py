@@ -9,16 +9,23 @@ def random_skew(rng, n):
     return a - a.T
 
 
-def random_dirac(rng, n, mix=True):
+def random_dirac(rng, n, mix=True, band=None):
     """Valid kernel representation from the graph of a random skew map.
 
     D = {(J e, e)} gives F = I, G = -J; an optional well-conditioned left
-    factor changes the representation without changing the subspace.
+    factor changes the representation without changing the subspace.  With
+    ``band``, J keeps only its entries within ``band`` of the diagonal and the
+    left factor is a scaled row permutation, so F and G stay sparse.
     """
     j = random_skew(rng, n)
+    if band is not None:
+        j = np.triu(np.tril(j, band), -band)
     f_mat, g_mat = np.eye(n), -j
     if mix:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if band is None:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        else:
+            q = np.eye(n)[rng.permutation(n)]
         scale = np.diag(rng.uniform(0.5, 2.0, size=n))
         m = q @ scale
         f_mat, g_mat = m @ f_mat, m @ g_mat

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import phs_kit as pk
-from phs_kit.dirac import self_orthogonality_defect, subspace_mismatch
+from phs_kit.dirac import SPARSE_MIN_N, self_orthogonality_defect, subspace_mismatch
 
 from conftest import random_dirac
 
@@ -39,6 +40,97 @@ def test_validate_refuses_non_positive_or_nan_tol(tol):
         pk.validate_image(pk.DiracImageRep(K=-J2, L=np.eye(2), n_s=2), tol=tol)
     with pytest.raises(pk.StructureError):
         pk.resistive_check(pk.LinearGraph(R=[[1.0]]), tol=tol)
+
+
+def _with_blocks(rep, f, g):
+    return pk.DiracKernelRep(F=f, G=g, n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
+
+
+@st.composite
+def structures_with_entry(draw):
+    """A random Dirac structure (dense or banded, either side of SPARSE_MIN_N) and one (row, column)."""
+    n = draw(st.integers(1, 40) | st.integers(SPARSE_MIN_N - 20, SPARSE_MIN_N + 100))
+    band = draw(st.none() | st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_dirac(rng, n, band=band), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(structures_with_entry())
+def test_validate_agrees_with_svd(case):
+    rep, row, col = case
+    report = pk.validate_kernel(rep)
+    svals = scipy.linalg.svdvals(np.hstack([rep.F, rep.G]))
+    assert report.sigma_min == pytest.approx(svals[-1], rel=1e-10)
+    svd_rank = np.count_nonzero(svals > 2 * rep.n * np.finfo(float).eps * svals[0])
+    svd_passed = svd_rank == rep.n and np.max(np.abs(rep.F @ rep.G.T + rep.G @ rep.F.T)) <= report.tol
+    assert report.passed == svd_passed
+
+    f, g = rep.F.copy(), rep.G.copy()
+    f[row] = g[row] = 0.0
+    singular = pk.validate_kernel(_with_blocks(rep, f, g))
+    assert not singular.passed
+    assert singular.rank < singular.rank_required
+
+    g = rep.G.copy()
+    g[row, col] += 1e-6
+    skewed = pk.validate_kernel(_with_blocks(rep, rep.F, g))
+    assert not skewed.passed
+    assert skewed.skew_defect > skewed.tol
+
+
+@pytest.mark.parametrize("kind, small, large", [("string", 2, 512), ("diffusion", 3, 256)])
+def test_validate_both_sides_of_sparse_cutoff(kind, small, large):
+    reps = [pk.make_example(kind, N=n)[0].dirac for n in (small, large)]
+    assert reps[0].n < SPARSE_MIN_N <= reps[1].n
+    for rep in reps:
+        report = pk.validate_kernel(rep)
+        assert report.passed
+        assert report.rank == rep.n
+        sigma = scipy.linalg.svdvals(np.hstack([rep.F, rep.G]))[-1]
+        assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
+        image = pk.validate_image(pk.kernel_to_image(rep))
+        assert image.passed
+        assert image.sigma_min == pytest.approx(report.sigma_min, rel=1e-12)
+
+
+def test_validate_accepts_fine_diffusion():
+    # G carries 1/h^2, so kappa([F, G]) ~ 2 N^2 = 2.1e6: a threshold with n in place
+    # of the longest row of [F, G] (3 entries here) would refuse this structure
+    rep = pk.make_example("diffusion", N=1024)[0].dirac
+    report = pk.validate_kernel(rep)
+    assert report.passed
+    assert report.sigma_min == pytest.approx(1.0, rel=1e-8)
+    assert report.threshold < 0.1
+
+
+def test_validate_rank_deficient_sparse_structure_fails_without_raising():
+    rep = pk.make_example("string", N=512)[0].dirac
+    f, g = rep.F.copy(), rep.G.copy()
+    f[5] = g[5] = 0.0
+    broken = _with_blocks(rep, f, g)
+    report = pk.validate_kernel(broken)
+    assert not report.passed
+    assert report.rank < rep.n
+    image = pk.validate_image(pk.kernel_to_image(broken))
+    assert (image.passed, image.rank, image.sigma_min) == (report.passed, report.rank, report.sigma_min)
+    # two rows made inexact combinations of others: SuperLU factors M, and the rank counts both
+    f, g = rep.F.copy(), rep.G.copy()
+    for row, (a, b) in ((7, (20, 600)), (300, (40, 900))):
+        f[row], g[row] = 0.3 * f[a] - 1.7 * f[b], 0.3 * g[a] - 1.7 * g[b]
+    assert pk.validate_kernel(_with_blocks(rep, f, g)).rank == rep.n - 2
+
+
+def test_validate_runs_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran an SVD")
+
+    for module, name in ((np.linalg, "svd"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals")):
+        monkeypatch.setattr(module, name, refuse)
+    for kind, n in (("string", 2), ("string", 128), ("diffusion", 256)):
+        rep = pk.make_example(kind, N=n)[0].dirac
+        assert pk.validate_kernel(rep).passed
+        assert pk.validate_image(pk.kernel_to_image(rep)).passed
 
 
 def test_validate_dimension_mismatch_is_structural():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .dirac import DiracKernelRep
-from .discretize import DiffusionSpec, StringSpec, diffusion_system, string_system
+from .discretize import DiffusionSpec, NamedForce, StringSpec, diffusion_system, string_system
 from .energy import LinearGraph, QuadraticHamiltonian
 from .errors import StructureError
 from .system import assemble
@@ -14,15 +14,9 @@ __all__ = [
     "damped_oscillator",
     "forced_oscillator",
     "make_example",
-    "builtin_hamiltonian",
 ]
 
 EXAMPLE_NAMES = ("oscillator", "damped_oscillator", "forced_oscillator", "string", "diffusion")
-
-FORCE_KINDS = {
-    "linear": lambda scale: (lambda xi, eps: scale * eps),
-    "tanh": lambda scale: (lambda xi, eps: scale * np.tanh(eps)),
-}
 
 
 def oscillator():
@@ -65,48 +59,14 @@ def forced_oscillator():
     return assemble(dirac, QuadraticHamiltonian(H=np.eye(2)), None, ("flow",))
 
 
-def _string_force_spec(force, scale):
-    if force not in FORCE_KINDS:
-        raise StructureError(f"unknown force kind {force!r}; choose from {sorted(FORCE_KINDS)}")
-    return {"kind": force, "scale": float(scale)}
-
-
-def builtin_hamiltonian(name, params):
-    """Reconstruct a declarative ("builtin") Hamiltonian from file parameters."""
-    if name != "string":
-        raise StructureError(f"unknown builtin Hamiltonian {name!r}")
-    from .discretize import string_hamiltonian  # local import to avoid cycle at module load
-
-    force = params.get("force", {"kind": "linear", "scale": 1.0})
-    spec = StringSpec(
-        N=int(params["N"]),
-        interval=tuple(params.get("interval", (0.0, 1.0))),
-        rho=_rho_from_params(params.get("rho", 1.0)),
-        force=FORCE_KINDS[force["kind"]](float(force.get("scale", 1.0))),
-    )
-    return string_hamiltonian(spec)
-
-
-def _rho_from_params(rho):
-    if np.isscalar(rho):
-        return float(rho)
-    values = np.asarray(rho, dtype=float)
-
-    def lookup(points):
-        # node samples serialized in grid order
-        return values
-
-    return lookup
-
-
 def make_example(name, **params):
     """Build a named example system.
 
     Returns
     -------
     sys : PhsSystem
-        With ``metadata["hamiltonian_spec"]`` set when the energy is not a
-        plain quadratic (needed to serialize the system declaratively).
+        Its Hamiltonian's ``to_dict`` is its file form (the string's is a
+        "builtin" document with N, interval, rho and the named force).
     info : dict
         Grid/parameter metadata.
     """
@@ -124,19 +84,8 @@ def make_example(name, **params):
         scale = float(params.get("scale", 1.0))
         rho = float(params.get("rho", 1.0))
         interval = tuple(params.get("interval", (0.0, 1.0)))
-        force_spec = _string_force_spec(force, scale)
-        spec = StringSpec(N=n, interval=interval, rho=rho, force=FORCE_KINDS[force](scale))
+        spec = StringSpec(N=n, interval=interval, rho=rho, force=NamedForce(force, scale))
         sys, grid = string_system(spec)
-        sys.metadata["hamiltonian_spec"] = {
-            "type": "builtin",
-            "name": "string",
-            "params": {
-                "N": n,
-                "interval": list(interval),
-                "rho": rho,
-                "force": force_spec,
-            },
-        }
         return sys, {"h": grid["h"], "N": n, "force": force}
     if name == "diffusion":
         n = int(params.get("N", 8))

@@ -6,6 +6,7 @@ conditions are met to roundoff for every resolution, and the discrete power
 balance grad H(x)·xdot = <f_R, e_R> + <f_P, e_P> is an algebraic identity.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -17,6 +18,8 @@ from .errors import StructureError
 from .system import assemble
 
 __all__ = [
+    "NamedForce",
+    "StringHamiltonian",
     "StringSpec",
     "DiffusionSpec",
     "string_system",
@@ -24,31 +27,17 @@ __all__ = [
     "psi_potential",
 ]
 
-# composite Gauss-Legendre used for strain-energy integrals
-_PSI_PANELS = 4
-_PSI_POINTS = 10
-
-
-def _psi_rule():
-    x, w = np.polynomial.legendre.leggauss(_PSI_POINTS)
-    # map panels of [0, 1] to nodes/weights on the unit interval
-    edges = np.linspace(0.0, 1.0, _PSI_PANELS + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-_PSI_NODES, _PSI_WEIGHTS = _psi_rule()
+# one 40-point Gauss-Legendre rule mapped to [0, 1] for strain-energy integrals
+_PSI_NODES, _PSI_WEIGHTS = np.polynomial.legendre.leggauss(40)
+_PSI_NODES, _PSI_WEIGHTS = 0.5 * (_PSI_NODES + 1.0), 0.5 * _PSI_WEIGHTS
 
 
 def psi_potential(force, xi, eps):
     """Stored elastic energy density: ∫_0^eps force(xi, z) dz.
 
-    Composite Gauss-Legendre quadrature (4 panels x 10 points on the scaled
-    unit interval); exact for polynomial force laws and ~1e-14 accurate for
-    smooth ones at moderate strains.  ``xi`` and ``eps`` broadcast.
+    A 40-point Gauss-Legendre rule on [0, eps]: exact for polynomial force
+    laws up to degree 79 and ~1e-14 accurate for smooth ones at moderate
+    strains.  ``xi`` and ``eps`` broadcast.
     """
     xi = np.asarray(xi, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -58,11 +47,47 @@ def psi_potential(force, xi, eps):
     return float(out) if out.ndim == 0 else out
 
 
-def _sample_coefficient(fn_or_value, points, name):
-    if callable(fn_or_value):
-        vals = np.asarray(fn_or_value(points), dtype=float) * np.ones_like(points)
-    else:
-        vals = float(fn_or_value) * np.ones_like(points)
+def _log_cosh(eps):
+    """log cosh eps to a few ulp, without overflow at any strain."""
+    a = np.abs(eps)
+    near = np.log1p(2.0 * np.sinh(0.5 * np.minimum(a, 1.0)) ** 2)  # no cancellation near 0
+    return np.where(a < 1.0, near, a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
+
+
+# named restoring-force laws f(eps) and their potentials ∫_0^eps f
+FORCE_KINDS = {
+    "linear": (lambda eps: eps, lambda eps: 0.5 * eps * eps),
+    "tanh": (np.tanh, _log_cosh),
+}
+
+
+@dataclass(frozen=True)
+class NamedForce:
+    """Restoring force ``force(xi, eps) = scale * f(eps)`` of a kind in FORCE_KINDS.
+
+    ``potential(eps)`` is its energy density in closed form; kind and scale
+    are the string energy's file form.
+    """
+
+    kind: str
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in FORCE_KINDS:
+            raise StructureError(
+                f"unknown force kind {self.kind!r}; choose from {sorted(FORCE_KINDS)}")
+
+    def __call__(self, xi, eps):
+        return self.scale * FORCE_KINDS[self.kind][0](eps)
+
+    def potential(self, eps):
+        return self.scale * FORCE_KINDS[self.kind][1](eps)
+
+
+def _sample_coefficient(coeff, points, name):
+    """A callable, a constant or samples of a coefficient, as values at ``points``."""
+    vals = np.asarray(coeff(points) if callable(coeff) else coeff, dtype=float)
+    vals = vals * np.ones_like(points)
     if np.any(vals <= 0):
         raise StructureError(f"{name} must be positive on the sampled grid")
     return vals
@@ -72,13 +97,14 @@ def _sample_coefficient(fn_or_value, points, name):
 class StringSpec:
     """Vibrating string with a (possibly nonlinear) restoring-force law.
 
-    ``force(xi, eps)`` must broadcast over numpy arrays; ``rho`` is a positive
-    mass density (callable or constant).
+    ``force(xi, eps)`` must broadcast over numpy arrays; a NamedForce also
+    gives the energy a file form.  ``rho`` is a positive mass density: a
+    callable, a constant, or a sequence of its N+1 node samples.
     """
 
     N: int
     interval: Tuple[float, float] = (0.0, 1.0)
-    rho: Union[Callable, float] = 1.0
+    rho: Union[Callable, float, Tuple[float, ...]] = 1.0
     force: Callable = lambda xi, eps: eps
 
     def __post_init__(self):
@@ -102,25 +128,56 @@ def string_grid(spec):
     return {"nodes": nodes, "cells": cells, "h": h, "masses": masses, "rho": rho}
 
 
-def string_hamiltonian(spec, grid=None):
+class StringHamiltonian(GeneralHamiltonian):
     """Kinetic plus elastic energy of the staggered string discretization.
 
     State layout: momenta at the N+1 nodes, then strains on the N cells.
+    ``value`` and ``gradient`` (also ``value_fn`` and ``gradient_fn``) take
+    one state or a batch (m, n_s) in one array expression.  The strain energy
+    is a NamedForce's ``potential``, else ``psi_potential`` of the force.
     """
-    grid = grid or string_grid(spec)
-    masses, cells, h = grid["masses"], grid["cells"], grid["h"]
-    n_nodes = masses.size
-    force = spec.force
 
-    def value(x):
-        p, e = x[:n_nodes], x[n_nodes:]
-        return 0.5 * np.sum(p * p / masses) + h * np.sum(psi_potential(force, cells, e))
+    def __init__(self, spec, grid=None):
+        grid = grid or string_grid(spec)
+        self.spec = spec
+        self.masses, self.cells, self.h = grid["masses"], grid["cells"], grid["h"]
+        super().__init__(value_fn=self.value, gradient_fn=self.gradient, dim=2 * spec.N + 1)
 
-    def gradient(x):
-        p, e = x[:n_nodes], x[n_nodes:]
-        return np.concatenate([p / masses, h * force(cells, e)])
+    def value(self, x):
+        """Energy of a state (float) or of each row of a batch (array)."""
+        x = np.asarray(x, dtype=float)
+        p, e = x[..., :self.masses.size], x[..., self.masses.size:]
+        force = self.spec.force
+        psi = (force.potential(e) if isinstance(force, NamedForce)
+               else psi_potential(force, self.cells, e))
+        out = 0.5 * np.sum(p * p / self.masses, axis=-1) + self.h * np.sum(psi, axis=-1)
+        return float(out) if x.ndim == 1 else out
 
-    return GeneralHamiltonian(value_fn=value, gradient_fn=gradient, dim=2 * spec.N + 1)
+    def gradient(self, x):
+        """Gradient of a state, or of each row of a batch."""
+        x = np.asarray(x, dtype=float)
+        p, e = x[..., :self.masses.size], x[..., self.masses.size:]
+        return np.concatenate([p / self.masses, self.h * self.spec.force(self.cells, e)], axis=-1)
+
+    def to_dict(self):
+        """The "builtin" file form; None for a callable force or density."""
+        spec, force = self.spec, self.spec.force
+        if not isinstance(force, NamedForce) or callable(spec.rho):
+            return None
+        params = {"N": spec.N, "interval": list(spec.interval), "rho": spec.rho,
+                  "force": {"kind": force.kind, "scale": float(force.scale)}}
+        return {"type": "builtin", "name": "string", "params": params}
+
+    @classmethod
+    def from_params(cls, params):
+        """The energy of a "builtin" string document's ``params`` (see ``to_dict``)."""
+        force = params.get("force", {"kind": "linear", "scale": 1.0})
+        return cls(StringSpec(
+            N=int(params["N"]),
+            interval=tuple(params.get("interval", (0.0, 1.0))),
+            rho=params.get("rho", 1.0),
+            force=NamedForce(str(force["kind"]), float(force.get("scale", 1.0))),
+        ))
 
 
 def string_system(spec, causality=("effort", "effort")):
@@ -151,21 +208,18 @@ def string_system(spec, causality=("effort", "effort")):
     f_mat[0, n_s] = 1.0        # left boundary tension enters the first momentum row
     f_mat[n_v - 1, n_s + 1] = 1.0
 
-    for i in range(n_v):       # momentum rows: tension differences / h
-        if i < n_e:
-            g_mat[i, n_v + i] = 1.0 / h
-        if i > 0:
-            g_mat[i, n_v + i - 1] = -1.0 / h
-    for c in range(n_e):       # strain rows: velocity differences / h
-        g_mat[n_v + c, c] = -1.0 / h
-        g_mat[n_v + c, c + 1] = 1.0 / h
+    c = np.arange(n_e)
+    g_mat[c, n_v + c] = 1.0 / h        # momentum rows: tension differences / h
+    g_mat[c + 1, n_v + c] = -1.0 / h
+    g_mat[n_v + c, c] = -1.0 / h       # strain rows: velocity differences / h
+    g_mat[n_v + c, c + 1] = 1.0 / h
     g_mat[n_s, n_s] = 1.0      # port effort rows: e_P = boundary velocities
     g_mat[n_s, 0] = -1.0
     g_mat[n_s + 1, n_s + 1] = 1.0
     g_mat[n_s + 1, n_v - 1] = -1.0
 
     dirac = DiracKernelRep(F=f_mat, G=g_mat, n_s=n_s, n_r=0, n_p=2)
-    ham = string_hamiltonian(spec, grid)
+    ham = StringHamiltonian(spec, grid)
     sys = assemble(dirac, ham, None, causality)
     return sys, grid
 
@@ -223,16 +277,13 @@ def diffusion_system(spec, causality=("effort", "effort")):
     f_mat = np.eye(n)
     g_mat = np.zeros((n, n))
     inv_h2 = 1.0 / (h * h)
-    for i in range(n_c):       # cell rows: flux divergence
-        if i > 0:
-            g_mat[i, n_c + i - 1] = inv_h2
-        if i < n_f:
-            g_mat[i, n_c + i] = -inv_h2
+    j = np.arange(n_f)
+    g_mat[j, n_c + j] = -inv_h2        # cell rows: flux divergence
+    g_mat[j + 1, n_c + j] = inv_h2
     g_mat[0, n_c + n_f] = 1.0 / h       # inward boundary fluxes
     g_mat[n_c - 1, n_c + n_f + 1] = 1.0 / h
-    for j in range(n_f):       # face rows: f_R = state difference quotient
-        g_mat[n_c + j, j] = inv_h2
-        g_mat[n_c + j, j + 1] = -inv_h2
+    g_mat[n_c + j, j] = inv_h2         # face rows: f_R = state difference quotient
+    g_mat[n_c + j, j + 1] = -inv_h2
     g_mat[n_c + n_f, 0] = -1.0 / h      # trace rows: f_P = nearest cell value
     g_mat[n_c + n_f + 1, n_c - 1] = -1.0 / h
 

@@ -1,13 +1,13 @@
 """Hamiltonians, the discrete gradient, and passive resistive relations.
 
-This module alone knows which energy and relation types exist; the
-simulator, the audits and the file layer use only these methods.  An energy
-has ``value`` and ``gradient`` on one state (n_s,) or a batch (m, n_s),
-``linear_gradient()`` -> (H, b) when its gradient is the affine map H x + b
-(else None), and ``to_dict`` (None when it has no file form); the one
-discrete gradient, ``discrete_gradient(h, x, y)``, needs only these.  A
-relation has ``n_aux`` (its auxiliary unknowns in a time step), ``at(x)``
-(the concrete relation at a state), ``pair(v, x)`` -> (f_R, e_R),
+This module defines the energy types (discretize adds the string's) and the
+relation types; the simulator, the audits and the file layer use only these
+methods.  An energy has ``value`` and ``gradient`` on one state (n_s,) or a
+batch (m, n_s), ``linear_gradient()`` -> (H, b) when its gradient is the
+affine map H x + b (else None), and ``to_dict`` (None when it has no file
+form); the one discrete gradient, ``discrete_gradient(h, x, y)``, needs only
+these.  A relation has ``n_aux`` (its auxiliary unknowns in a time step),
+``at(x)`` (the concrete relation at a state), ``pair(v, x)`` -> (f_R, e_R),
 ``linear_maps()`` -> (A, B) when f_R = A v and e_R = B v at every state
 (else None), ``check(tol, states)`` -> ResistiveValidation,
 ``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair`` and ``distance`` take
@@ -132,7 +132,7 @@ class GeneralHamiltonian:
         return None
 
     def to_dict(self):
-        """None: user callables have no file form (see ``hamiltonian_spec``)."""
+        """None: user callables have no file form; a subclass may give one."""
         return None
 
 

@@ -1,9 +1,9 @@
 """System (JSON) and trajectory (CSV) file formats.
 
 SystemFileV1: a JSON document with the dimensions, the kernel-representation
-matrices in row-major order, the Hamiltonian (inline quadratic data or a
-declarative "builtin" reference), the resistive relation, the per-channel
-causality and free-form metadata.
+matrices in row-major order, the Hamiltonian (its own ``to_dict``: inline
+quadratic data, or the "builtin" string energy's parameters), the resistive
+relation, the per-channel causality and free-form metadata.
 
 TrajectoryFileV1: CSV with header ``t,x_0..,fR_0..,eR_0..,fP_0..,eP_0..``
 and one row per grid node; channel columns carry the preceding interval's
@@ -20,8 +20,8 @@ from collections import Counter
 
 import numpy as np
 
-from .catalog import builtin_hamiltonian
 from .dirac import DiracKernelRep
+from .discretize import StringHamiltonian
 from .energy import LinearGraph, Parametric, QuadraticHamiltonian
 from .errors import StructureError
 from .system import Trajectory, assemble
@@ -66,7 +66,7 @@ def _dimension(dims, key):
 
 def system_to_dict(sys, metadata=None):
     """Serialize an assembled system to the SystemFileV1 structure."""
-    ham_doc = sys.ham.to_dict() or sys.metadata.get("hamiltonian_spec")
+    ham_doc = sys.ham.to_dict()
     if not ham_doc:
         raise StructureError(
             "only quadratic or builtin Hamiltonians can be serialized; "
@@ -91,7 +91,7 @@ def parse_system_dict(doc):
     Returns
     -------
     components : dict
-        Keys dirac, ham, res, causality, metadata, hamiltonian_spec.
+        Keys dirac, ham, res, causality, metadata.
 
     Raises
     ------
@@ -108,7 +108,6 @@ def parse_system_dict(doc):
         dirac = DiracKernelRep(F=_matrix(doc["F"], "F"), G=_matrix(doc["G"], "G"),
                                n_s=n_s, n_r=n_r, n_p=n_p)
         ham_doc = doc["hamiltonian"]
-        ham_spec = None
         ham_type = ham_doc.get("type") if isinstance(ham_doc, dict) else None
         if ham_type == "quadratic":
             ham = QuadraticHamiltonian(
@@ -120,8 +119,9 @@ def parse_system_dict(doc):
             params = ham_doc.get("params", {})
             if not isinstance(params, dict):
                 raise FileFormatError("hamiltonian.params must be a JSON object")
-            ham = builtin_hamiltonian(str(ham_doc["name"]), params)
-            ham_spec = {"type": "builtin", "name": str(ham_doc["name"]), "params": params}
+            if ham_doc["name"] != "string":
+                raise FileFormatError(f"unknown builtin Hamiltonian {ham_doc['name']!r}")
+            ham = StringHamiltonian.from_params(params)
         else:
             raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")
 
@@ -147,7 +147,6 @@ def parse_system_dict(doc):
         "res": res,
         "causality": causality,
         "metadata": doc.get("metadata", {}),
-        "hamiltonian_spec": ham_spec,
     }
 
 
@@ -155,8 +154,6 @@ def system_from_dict(doc):
     """Parse and assemble (validations re-run; StructureError on failure)."""
     parts = parse_system_dict(doc)
     sys = assemble(parts["dirac"], parts["ham"], parts["res"], parts["causality"])
-    if parts["hamiltonian_spec"]:
-        sys.metadata["hamiltonian_spec"] = parts["hamiltonian_spec"]
     sys.metadata["file_metadata"] = parts["metadata"]
     return sys
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import StructureError
 from .system import Trajectory, _inclusion_defects
@@ -196,6 +195,7 @@ def bump_constant():
     """Normalization 1/∫ exp(-1/(1-s^2)) ds over (-1, 1), computed once."""
     global _BUMP_MASS
     if _BUMP_MASS is None:
+        from scipy.integrate import quad  # imported on use: it loads scipy.optimize too
         _BUMP_MASS, _ = quad(_bump_shape, -1.0, 1.0, **_QUAD_TOL)
     return 1.0 / _BUMP_MASS
 
@@ -224,6 +224,7 @@ class MollifierConfig:
 
 def _bump_integral(eps, lo, hi, weight):
     """∫ delta(tau) weight(tau) dtau over [lo, hi] ∩ [-eps, eps], to double precision."""
+    from scipy.integrate import quad
     lo, hi = max(lo, -eps), min(hi, eps)
     if lo >= hi:
         return 0.0

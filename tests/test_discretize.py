@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import phs_kit as pk
 from phs_kit import DiffusionSpec, StringSpec, diffusion_system, psi_potential, string_system
+from phs_kit.discretize import NamedForce
 
 
 def tanh_force(xi, eps):
@@ -36,6 +38,67 @@ def test_psi_potential_matches_simpson_oracle():
     for eps in (0.3, 1.0, -1.7, 2.5):
         expected = simpson(tanh_force, 0.0, eps)
         assert psi_potential(tanh_force, 0.0, eps) == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh"])
+def test_named_force_potential_matches_quadrature(kind):
+    force = NamedForce(kind, 0.7)
+    eps = np.concatenate([-np.geomspace(1e-6, 5.0, 40), [0.0], np.geomspace(1e-6, 5.0, 40)])
+    closed = force.potential(eps)
+    quadrature = psi_potential(force, 0.0, eps)
+    assert np.all(np.abs(closed - quadrature) <= 1e-13 * np.abs(quadrature))
+
+
+def test_tanh_potential_is_finite_at_large_strain():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        psi = NamedForce("tanh").potential(np.array([-800.0, 800.0]))
+    assert np.array_equal(psi, [800.0 - math.log(2.0)] * 2)
+
+
+@pytest.mark.parametrize("force", [NamedForce("tanh", 0.5), NamedForce("linear"),
+                                   lambda xi, eps: (1.0 + xi) * eps ** 3])
+def test_string_energy_batch_matches_single_states(force, rng):
+    ham = string_system(StringSpec(N=7, force=force, rho=lambda xi: 1.0 + xi))[0].ham
+    batch = rng.standard_normal((6, ham.dim))
+    singles = [ham.gradient(x) for x in batch]
+    assert np.array_equal(ham.gradient(batch), np.stack(singles))
+    values = np.array([ham.value(x) for x in batch])
+    assert ham.value(batch) == pytest.approx(values, rel=1e-14, abs=0.0)
+
+
+def test_discretizer_matrices_at_n3():
+    k = 1.0 / (1.0 / 3)
+    string, _ = string_system(StringSpec(N=3))
+    f_string = np.zeros((9, 9))
+    f_string[:7, :7] = np.eye(7)
+    f_string[0, 7] = f_string[3, 8] = 1.0
+    g_string = np.array([
+        [0, 0, 0, 0, k, 0, 0, 0, 0],
+        [0, 0, 0, 0, -k, k, 0, 0, 0],
+        [0, 0, 0, 0, 0, -k, k, 0, 0],
+        [0, 0, 0, 0, 0, 0, -k, 0, 0],
+        [-k, k, 0, 0, 0, 0, 0, 0, 0],
+        [0, -k, k, 0, 0, 0, 0, 0, 0],
+        [0, 0, -k, k, 0, 0, 0, 0, 0],
+        [-1, 0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, -1, 0, 0, 0, 0, 1],
+    ])
+    assert np.array_equal(string.dirac.F, f_string)
+    assert np.array_equal(string.dirac.G, g_string)
+    diffusion, _ = diffusion_system(DiffusionSpec(N=3))
+    k2 = 1.0 / ((1.0 / 3) * (1.0 / 3))
+    g_diffusion = np.array([
+        [0, 0, 0, -k2, 0, k, 0],
+        [0, 0, 0, k2, -k2, 0, 0],
+        [0, 0, 0, 0, k2, 0, k],
+        [k2, -k2, 0, 0, 0, 0, 0],
+        [0, k2, -k2, 0, 0, 0, 0],
+        [-k, 0, 0, 0, 0, 0, 0],
+        [0, 0, -k, 0, 0, 0, 0],
+    ])
+    assert np.array_equal(diffusion.dirac.F, np.eye(7))
+    assert np.array_equal(diffusion.dirac.G, g_diffusion)
 
 
 def test_string_small_case_structure():

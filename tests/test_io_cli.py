@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,52 @@ def test_system_dict_builtin_round_trip():
     x = np.linspace(-0.5, 0.5, sys_.n_s)
     assert pk.ham_eval(sys2.ham, x) == pytest.approx(pk.ham_eval(sys_.ham, x), rel=1e-14)
     assert pk.ham_grad(sys2.ham, x) == pytest.approx(pk.ham_grad(sys_.ham, x), rel=1e-14)
+
+
+# written by `phs-kit example string --n 4 --force tanh` before the string
+# energy wrote its own file form
+STRING_N4_TANH = Path(__file__).parent / "data" / "string_n4_tanh.json"
+
+
+def test_builtin_string_file_loads_and_resaves_unchanged(runner, tmp_path):
+    text = STRING_N4_TANH.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    sys_ = system_from_dict(doc)
+    assert sys_.ham.to_dict() == doc["hamiltonian"]
+    path = tmp_path / "resaved.json"
+    pk.save_system(sys_, path)
+    resaved = pk.load_system(path)
+    assert system_to_dict(resaved)["hamiltonian"] == doc["hamiltonian"]
+    example = runner.invoke(main, ["example", "string", "--n", "4", "--force", "tanh"])
+    assert example.output == text
+
+
+def test_builtin_string_file_with_node_sampled_density():
+    doc = json.loads(STRING_N4_TANH.read_text(encoding="utf-8"))
+    rho = [1.0, 1.5, 2.0, 2.5, 3.0]
+    doc["hamiltonian"]["params"]["rho"] = rho
+    sys_ = system_from_dict(doc)
+    assert np.array_equal(sys_.ham.masses, 0.25 * np.array(rho) * [0.5, 1, 1, 1, 0.5])
+    assert system_to_dict(sys_)["hamiltonian"] == doc["hamiltonian"]
+    doc["hamiltonian"]["params"]["rho"] = rho[:-1]
+    with pytest.raises(FileFormatError):
+        system_from_dict(doc)
+
+
+def test_callable_force_string_refuses_save(tmp_path):
+    sys_, _ = pk.string_system(pk.StringSpec(N=4, force=lambda xi, eps: np.sinh(eps)))
+    with pytest.raises(pk.StructureError, match="only quadratic or builtin Hamiltonians"):
+        pk.save_system(sys_, tmp_path / "string.json")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import phs_kit.cli, sys; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_system_dict_rejects_garbage():

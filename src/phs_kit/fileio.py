@@ -55,12 +55,12 @@ def _matrix(data, name):
     return m
 
 
-def _dimension(dims, key):
+def _dimension(doc, key, where="dims"):
     """A dimension must be a JSON whole number: int() alone would truncate 2.7."""
-    value = dims[key]
+    value = doc[key]
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
-        raise FileFormatError(f"dims.{key} must be a whole number, got {value!r}")
+        raise FileFormatError(f"{where}.{key} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -121,6 +121,10 @@ def parse_system_dict(doc):
                 raise FileFormatError("hamiltonian.params must be a JSON object")
             if ham_doc["name"] != "string":
                 raise FileFormatError(f"unknown builtin Hamiltonian {ham_doc['name']!r}")
+            n_cells = _dimension(params, "N", "hamiltonian.params")
+            if 2 * n_cells + 1 != n_s:
+                raise FileFormatError(f"a string of N = {n_cells} cells has n_s = "
+                                      f"{2 * n_cells + 1} states, but dims.n_s = {n_s}")
             ham = StringHamiltonian.from_params(params)
         else:
             raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")

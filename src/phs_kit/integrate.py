@@ -15,9 +15,12 @@ C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)] (``_aux_block``); only g is
 nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C].  With a
 quadratic Hamiltonian (``linear_gradient()`` not None) and a relation that is
 absent or linear and state-independent (``linear_maps()`` not None) the step
-map is affine: g = H (x0 + x1)/2 + b, the Jacobian is exact and built once,
-and Newton takes one iteration per step; its small dense Jacobian keeps
-LAPACK's LU.  Other systems apply the sparse view of the Dirac blocks,
+map is affine: g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once
+with LAPACK's LU.  Its steps form a linear recurrence, advanced a block of
+steps at a time (``_AffineStep.run``); Newton's own test certifies every step
+in batches, and a step that fails it, or is not finite, is Newton-solved from
+its predictor before the recurrence resumes.  A certified step counts as one
+Newton iteration.  Other systems apply the sparse view of the Dirac blocks,
 difference only the scheme's gradient map x1 -> g (n_s gradient calls per
 Jacobian) and factor their CSC Jacobian with SuperLU, whose solves give the
 condition estimate through ``onenormest`` with t=1: no random vectors.
@@ -47,7 +50,11 @@ __all__ = [
 ]
 
 SCHEMES = ("implicit_midpoint", "discrete_gradient")
-_W_ROWS = 64  # steps of the affine P u_k + c per pass: O(n) memory, not O(n_steps n)
+# Steps per certificate chunk of the affine recurrence.  Its temporaries are
+# O(_CHUNK n), not O(n_steps n); a chunk costs about 25 array calls whatever its
+# length, and a step that fails the certificate discards the rest of its chunk.
+_CHUNK = 128
+_BLOCK_ROWS = 32  # at most b n_s: the states one block of the recurrence advances
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,8 @@ class _AffineStep:
 
     z = (x_{k+1}, v).  With g = H (x_k + x_{k+1})/2 + b:
     K = [-F_s/dt + G_s H/2, C], L = F_s/dt + G_s H/2,
-    P = F_p (I - D_m) + G_p D_m and c = G_s b.  ``start`` must visit the
-    steps in order.
+    P = F_p (I - D_m) + G_p D_m and c = G_s b.  ``run`` steps the whole
+    grid; ``start``, ``residual`` and ``jacobian`` serve its Newton fallback.
     """
 
     name = "affine"
@@ -153,18 +160,86 @@ class _AffineStep:
         self.L = d.F_s / dt + half_gh
         self.P, self.c = d.F_p * (1.0 - m) + d.G_p * m, d.G_s @ b
         self.prescribed = prescribed
-        self.w = self.rhs = None
+        self.rhs = None
 
     def start(self, k, x_k):
-        if k % _W_ROWS == 0:
-            self.w = self.prescribed[k : k + _W_ROWS] @ self.P.T + self.c
-        self.rhs = self.L @ x_k + self.w[k % _W_ROWS]
+        self.rhs = self.L @ x_k + self.P @ self.prescribed[k] + self.c
 
     def residual(self, z):
         return self.K @ z + self.rhs
 
     def jacobian(self, z):
         return self.K
+
+    def run(self, solver, x, v):
+        """Fill x[1:] and v[1:] (see ``_solve_steps``); returns the largest step residual.
+
+        With y_k = (x_k; u_k; 1) and K S = [L, P, c], step k's exact solution
+        is z_{k+1} = -S y_k: x_{k+1} = A x_k + w_k with (A, W) = -S_x and
+        w_k = W (u_k; 1).  A block of b steps is (x_{k+1}; ...; x_{k+b}) =
+        (A; ...; A^b) x_k + T (w_k; ...; w_{k+b-1}), with T lower block-Toeplitz,
+        T_ij = A^(i-j).  Each chunk of steps is then certified with the test of
+        ``_NewtonSolver.solve``, and its first failing step is Newton-solved.
+        """
+        n_steps, n_s = len(self.prescribed), x.shape[1]
+        maps = np.hstack([self.L, self.P, self.c[:, None]])
+        try:
+            # K is factored once: condition estimate, singular and non-finite checks
+            solver._refresh(self, None)
+            minus_s = -solver.lu_solve(maps)
+        except NewtonError as exc:
+            exc.step = 0
+            raise
+        if not np.all(np.isfinite(minus_s)):
+            raise NewtonError("singular step Jacobian: the step transition is not finite", step=0)
+        forcing_map, aux_map = minus_s[:n_s, n_s:].T, minus_s[n_s:].T
+
+        # a purely algebraic system (n_s = 0) has no state to advance
+        b = max(1, min(_BLOCK_ROWS // n_s, n_steps)) if n_s else 1
+        powers = [np.eye(n_s), minus_s[:n_s, :n_s]]
+        for _ in range(b - 1):
+            powers.append(powers[1] @ powers[-1])
+        powers = np.array(powers)
+        power_stack = powers[1:].reshape(b * n_s, n_s)
+        lag = np.subtract.outer(np.arange(b), np.arange(b))
+        toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+        toeplitz_t = toeplitz.transpose(0, 2, 1, 3).reshape(b * n_s, b * n_s).T
+
+        k_x, k_v, maps_t = self.K[:, :n_s].T, self.K[:, n_s:].T, maps.T
+        tol = solver.cfg.newton_tol
+        max_residual, k = 0.0, 0
+        while k < n_steps:
+            end = min(k + _CHUNK, n_steps)
+            y = np.empty((end - k, maps.shape[1]))
+            y[:, n_s:-1] = self.prescribed[k:end]
+            y[:, -1] = 1.0
+            # a non-finite step fails its certificate and goes to Newton, which reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.zeros((-(-(end - k) // b) * b, n_s))
+                w[: end - k] = y[:, n_s:] @ forcing_map
+                forced = w.reshape(-1, b * n_s) @ toeplitz_t if b > 1 else w
+                for first, block in zip(range(k, end, b), forced):
+                    rows = min(b, end - first)
+                    x[first + 1 : first + 1 + rows] = (power_stack @ x[first] + block).reshape(
+                        b, n_s)[:rows]
+                y[:, :n_s] = x[k:end]
+                v[k + 1 : end + 1] = y @ aux_map
+                # row j is K (x[k+j]; v[k+j]): step k+j-1's solution, step k+j's predictor
+                kz = x[k : end + 1] @ k_x + v[k : end + 1] @ k_v
+                rhs = y @ maps_t
+                r, r0 = kz[1:] + rhs, kz[:-1] + rhs
+                norm = np.sqrt(np.einsum("ij,ij->i", r, r))
+                norm0 = np.sqrt(np.einsum("ij,ij->i", r0, r0))
+                failed = np.flatnonzero(~((norm <= tol * (1.0 + norm0)) & np.isfinite(norm)))
+            certified = int(failed[0]) if failed.size else end - k
+            if certified:
+                max_residual = max(max_residual, float(norm[:certified].max()))
+            solver.iterations += certified
+            k += certified
+            if k < end:
+                max_residual = max(max_residual, _solve_steps(self, solver, x, v, k, k + 1))
+                k += 1
+        return max_residual
 
 
 class _NewtonStep:
@@ -206,6 +281,28 @@ class _NewtonStep:
         j_g = scipy.sparse.csr_array(_fd_jacobian(self.gradient, x1))
         return scipy.sparse.hstack([-self.F[:, :n_s] / self.dt + self.G[:, :n_s] @ j_g, _aux_block(
             self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
+
+    def run(self, solver, x, v):
+        return _solve_steps(self, solver, x, v, 0, len(self.prescribed))
+
+
+def _solve_steps(step_map, solver, x, v, first, last):
+    """Newton-solve steps first..last-1 in turn, each from its predictor (x_k, v_k).
+
+    ``x[k]`` is the state at node k and ``v[k + 1]`` step k's auxiliaries;
+    ``v[0]`` seeds the first predictor.  Returns the largest step residual.
+    """
+    n_s, max_residual = x.shape[1], 0.0
+    for k in range(first, last):
+        step_map.start(k, x[k])
+        try:
+            z, res_norm = solver.solve(step_map, np.concatenate([x[k], v[k]]), step=k)
+        except NewtonError as exc:
+            exc.step = k
+            raise
+        x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
+        max_residual = max(max_residual, res_norm)
+    return max_residual
 
 
 class _NewtonSolver:
@@ -389,15 +486,20 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     """Integrate the system over ``t_span`` and return the Trajectory.
 
     Per-step channel samples are interval (midpoint) values: prescribed port
-    halves are sampled at the interval midpoint, so discontinuous inputs are
-    handled without event detection.  Newton must reach ``cfg.newton_tol``
-    (2-norm of the step residual) on every step.
+    halves are sampled at the interval midpoints t0 + (k + 1/2) dt, one pass
+    over each channel's signal, so discontinuous inputs are handled without
+    event detection.  Every step must pass Newton's test: the 2-norm of its
+    residual at most ``cfg.newton_tol`` (1 + the residual's norm at the
+    predictor, the previous state and auxiliaries).  An affine step map
+    advances as a blocked linear recurrence and certifies its steps with that
+    test in batches; a step that fails it is Newton-solved (module docstring).
 
-    The metadata records the step map ("affine" or "newton", see the module
-    docstring), the Newton iterations summed over all steps, the largest
-    converged step residual, the Jacobian rebuilds, and the first Jacobian's
-    1-norm condition estimate: ``dgecon``, or on the Newton path SuperLU's
-    ``onenormest`` with t=1, which draws no random vectors (deterministic).
+    The metadata records the step map ("affine" or "newton"), the Newton
+    iterations summed over all steps (a certified affine step counts one),
+    the largest step residual, the Jacobian factorizations, and the first
+    Jacobian's 1-norm condition estimate: ``dgecon``, or on the Newton path
+    SuperLU's ``onenormest`` with t=1, which draws no random vectors
+    (deterministic).
 
     Raises
     ------
@@ -425,8 +527,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
     prescribed = np.empty((n_steps, n_p))
     for i in range(n_p):
-        prescribed[:, i] = np.fromiter(
-            (inputs.value(i, t0 + (k + 0.5) * dt) for k in range(n_steps)), float, n_steps)
+        prescribed[:, i] = inputs.samples(i, t0 + (np.arange(n_steps) + 0.5) * dt)
     linear_gradient = sys.ham.linear_gradient()
     if linear_gradient is None or (sys.res is not None and sys.res.linear_maps() is None):
         step_map = _NewtonStep(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt,
@@ -437,22 +538,10 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
 
     t = t0 + dt * np.arange(n_steps + 1)
     x = np.empty((n_steps + 1, n_s))
-    v = np.empty((n_steps, n_aux))
-    x[0] = x0
-
-    z = np.concatenate([x0, np.zeros(n_aux)])
-    max_residual = 0.0
-    for k in range(n_steps):
-        step_map.start(k, x[k])
-        z[:n_s] = x[k]  # predictor: previous state, previous auxiliaries
-        try:
-            z, res_norm = solver.solve(step_map, z, step=k)
-        except NewtonError as exc:
-            exc.step = k
-            raise
-        x[k + 1] = z[:n_s]
-        v[k] = z[n_s:]
-        max_residual = max(max_residual, res_norm)
+    v = np.empty((n_steps + 1, n_aux))  # v[0] seeds the first predictor
+    x[0], v[0] = x0, 0.0
+    max_residual = step_map.run(solver, x, v)
+    v = v[1:]
     x_mid = x[:-1] + x[1:]
     x_mid *= 0.5
     f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x_mid, prescribed)

@@ -1,6 +1,5 @@
 """System assembly, trajectories, and pointwise residuals of the inclusion."""
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -294,10 +293,19 @@ class PortSignal:
         return sorted(self._signals)
 
     def value(self, channel, t):
+        return float(self.samples(channel, np.array([t], dtype=float))[0])
+
+    def samples(self, channel, times):
+        """The channel's value at each entry of the array ``times``, in one pass over the signal."""
         fn = self._signals.get(int(channel))
-        u = 0.0 if fn is None else float(fn(t))
-        if not math.isfinite(u):
-            raise StructureError(f"input on port channel {channel} is not finite at t = {t}: {u}")
+        if fn is None:
+            return np.zeros(times.size)
+        u = np.fromiter(map(fn, times.tolist()), float, times.size)
+        bad = np.flatnonzero(~np.isfinite(u))
+        if bad.size:
+            i = bad[0]
+            raise StructureError(
+                f"input on port channel {channel} is not finite at t = {times[i]}: {u[i]}")
         return u
 
     def validate_channels(self, sys):

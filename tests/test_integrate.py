@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
-from phs_kit.integrate import _AffineStep, _NewtonStep, _aux_block, _fd_jacobian
+from phs_kit.integrate import _AffineStep, _NewtonSolver, _NewtonStep, _aux_block, _fd_jacobian
 
 
 def closed_form_oscillator(t):
@@ -327,6 +327,100 @@ def test_affine_step_map_matches_newton_reference(case, scheme):
         # samples that cross zero
         np.testing.assert_allclose(getattr(fast, name), expected, rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(expected), initial=0.0))
+
+
+def effort_mask(sys_):
+    return np.array([c == "effort" for c in sys_.causality], dtype=bool)
+
+
+def step_unknowns(sys_, traj):
+    """Each step's auxiliary unknowns v = (v_R, v_P), recovered from the channel data."""
+    free = np.where(effort_mask(sys_), traj.f_p, traj.e_p)
+    if sys_.res is None:
+        return free
+    a, b = sys_.res.linear_maps()
+    v_r = np.linalg.lstsq(np.vstack([a, b]), np.hstack([traj.f_r, traj.e_r]).T, rcond=None)[0]
+    return np.hstack([v_r.T, free])
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+def test_every_affine_step_meets_the_newton_test(case, scheme):
+    sys_, x0, inputs = affine_cases()[case]
+    cfg = SchemeConfig(scheme=scheme, dt=1e-3)
+    traj = simulate(sys_, x0, inputs, (0.0, 2.0), cfg)
+    prescribed = np.where(effort_mask(sys_), traj.e_p, traj.f_p)
+    step = _AffineStep(sys_, sys_.ham.linear_gradient(), effort_mask(sys_), traj.dt, prescribed)
+    # z_k = (x_k, v_{k-1}) is step k-1's solution and step k's predictor
+    z = np.hstack([traj.x, np.vstack([np.zeros(sys_.n - sys_.n_s), step_unknowns(sys_, traj)])])
+    worst = 0.0
+    for k in range(traj.steps):
+        step.start(k, traj.x[k])
+        r, r0 = (np.linalg.norm(step.residual(z[j])) for j in (k + 1, k))
+        worst = max(worst, r / (cfg.newton_tol * (1.0 + r0)))
+    assert worst <= 1.0
+
+
+def stepwise_reference(sys_, x0, inputs, t1, cfg):
+    """The affine steps solved one at a time by Newton, each from (x_k, v_{k-1})."""
+    n_steps = round(t1 / cfg.dt)
+    dt = t1 / n_steps
+    signal = pk.PortSignal.coerce(inputs)
+    prescribed = np.array([[signal.value(i, (k + 0.5) * dt) for i in range(sys_.n_p)]
+                           for k in range(n_steps)]).reshape(n_steps, sys_.n_p)
+    step = _AffineStep(sys_, sys_.ham.linear_gradient(), effort_mask(sys_), dt, prescribed)
+    solver = _NewtonSolver(cfg)
+    z = np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])
+    x = [x0]
+    for k in range(n_steps):
+        step.start(k, z[: sys_.n_s])
+        z, _ = solver.solve(step, z, k)
+        x.append(z[: sys_.n_s])
+    return np.array(x)
+
+
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+def test_steps_that_fail_the_certificate_are_newton_solved(monkeypatch, case):
+    sys_, x0, inputs = affine_cases()[case]
+    cfg = SchemeConfig(dt=1e-3)
+    reference = stepwise_reference(sys_, np.asarray(x0, dtype=float), inputs, 0.5, cfg)
+    jacobian = _AffineStep.jacobian
+    # the factored K, and so the transition, is off by 1e-9: no step passes
+    # the certificate, and each Newton fallback needs a second iteration
+    monkeypatch.setattr(_AffineStep, "jacobian", lambda self, z: jacobian(self, z) * (1.0 + 1e-9))
+    traj = simulate(sys_, x0, inputs, (0.0, 0.5), cfg)
+    assert traj.metadata["newton_iterations"] > traj.steps
+    assert traj.metadata["jacobian_rebuilds"] == 1
+    np.testing.assert_allclose(traj.x, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+
+def test_newton_tol_below_the_roundoff_floor_stalls(damped):
+    with pytest.raises(pk.NewtonError, match="stalled") as err:
+        simulate(damped, [1.0, 0.0], None, (0.0, 1.0), SchemeConfig(newton_tol=1e-16))
+    assert err.value.step is not None
+
+
+def test_simulate_a_system_without_states():
+    # one resistor across one effort-prescribed port: f_R + f_P = 0, e_R = e_P
+    dirac = pk.DiracKernelRep(F=[[1.0, 1.0], [0.0, 0.0]], G=[[0.0, 0.0], [1.0, -1.0]],
+                              n_s=0, n_r=1, n_p=1)
+    sys_ = pk.assemble(dirac, pk.QuadraticHamiltonian(H=np.zeros((0, 0))),
+                       pk.LinearGraph(R=[[2.0]]), ("effort",))
+    traj = simulate(sys_, np.zeros(0), {0: 1.0}, (0.0, 0.01), SchemeConfig())
+    assert traj.x.shape == (11, 0)
+    assert np.allclose(traj.e_r, 1.0) and np.allclose(traj.f_p, -traj.f_r)
+
+
+def test_input_samples_match_the_midpoint_values():
+    signal = pk.PortSignal({0: sin_force, 1: lambda t: 1.0 if t < 0.105 else math.nan})
+    t0, dt, n_steps = 0.1, 1e-3 / 3, 300
+    times = t0 + (np.arange(n_steps) + 0.5) * dt
+    expected = [sin_force(t0 + (k + 0.5) * dt) for k in range(n_steps)]
+    assert np.array_equal(signal.samples(0, times), expected)
+    assert np.array_equal(signal.samples(2, times), np.zeros(n_steps))
+    first_bad = next(t for t in times.tolist() if t >= 0.105)
+    with pytest.raises(pk.StructureError, match=f"channel 1 is not finite at t = {first_bad}: nan"):
+        signal.samples(1, times)
 
 
 @pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])

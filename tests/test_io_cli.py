@@ -72,6 +72,21 @@ def test_builtin_string_file_with_node_sampled_density():
         system_from_dict(doc)
 
 
+@pytest.mark.parametrize("n_cells, message", [
+    (4.7, "whole number"), (True, "whole number"), ("4", "whole number"), (5, "dims.n_s = 9"),
+])
+def test_builtin_string_file_refuses_a_bad_cell_count(runner, tmp_path, n_cells, message):
+    doc = json.loads(STRING_N4_TANH.read_text(encoding="utf-8"))
+    doc["hamiltonian"]["params"]["N"] = n_cells
+    with pytest.raises(FileFormatError, match=message):
+        system_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 2
+    doc["hamiltonian"]["params"]["N"] = 4.0
+    assert system_from_dict(doc).ham.spec.N == 4
+
+
 def test_callable_force_string_refuses_save(tmp_path):
     sys_, _ = pk.string_system(pk.StringSpec(N=4, force=lambda xi, eps: np.sinh(eps)))
     with pytest.raises(pk.StructureError, match="only quadratic or builtin Hamiltonians"):

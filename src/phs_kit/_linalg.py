@@ -13,32 +13,18 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def rank_tolerance(shape, smax):
-    """Numerical rank threshold: max(shape) * eps * largest singular value."""
-    return max(shape) * EPS * smax
+def subspace_bases(m):
+    """Orthonormal bases (columns) of im(m^T) and ker(m), from one SVD.
 
-
-def null_space_basis(m):
-    """Orthonormal basis (columns) of ker(m), using the shared rank rule."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    ncols = m.shape[1]
-    if m.size == 0 or not np.any(m):
-        return np.eye(ncols)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    threshold = rank_tolerance(m.shape, s[0])
-    rank = int(np.count_nonzero(s > threshold))
-    return vt[rank:].T
-
-
-def row_space_basis(m):
-    """Orthonormal basis (columns) of im(m^T)."""
+    The numerical rank counts the singular values above max(shape) * eps times
+    the largest one; a zero or empty matrix has rank 0.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0 or not np.any(m):
-        return np.zeros((m.shape[1], 0))
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    threshold = rank_tolerance(m.shape, s[0])
-    rank = int(np.count_nonzero(s > threshold))
-    return vt[:rank].T
+        return np.zeros((m.shape[1], 0)), np.eye(m.shape[1])
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.count_nonzero(s > max(m.shape) * EPS * s[0]))
+    return vt[:rank].T, vt[rank:].T
 
 
 def subspace_angle_max(a, b):

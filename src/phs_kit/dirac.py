@@ -24,13 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._linalg import (
-    EPS,
-    as_matrix,
-    null_space_basis,
-    rank_tolerance,
-    subspace_angle_max,
-)
+from ._linalg import EPS, as_matrix, subspace_angle_max, subspace_bases
 from .errors import StructureError
 
 __all__ = [
@@ -120,6 +114,19 @@ class DiracKernelRep:
     def csr(self):
         """(F, G) as scipy.sparse CSR arrays, built on first use; F and G stay the stored form."""
         return scipy.sparse.csr_array(self.F), scipy.sparse.csr_array(self.G)
+
+    def residual(self, f, e):
+        """F f + G e through the CSR view: zero iff the bond vector (f, e) lies in ker[F, G].
+
+        ``f`` and ``e`` have shape (n,), or (m, n) with one bond vector per row;
+        the sparse products read a batch stored column-major in place.
+        """
+        f, e = np.asarray(f, dtype=float), np.asarray(e, dtype=float)
+        if f.ndim not in (1, 2) or f.shape[-1] != self.n or e.shape != f.shape:
+            raise StructureError(f"flows and efforts must be rows of width n = {self.n}, "
+                                 f"got shapes {f.shape} and {e.shape}")
+        F, G = self.csr
+        return F @ f + G @ e if f.ndim == 1 else (F @ f.T + G @ e.T).T
 
     # column blocks
     @property
@@ -340,7 +347,7 @@ def image_to_kernel(rep):
 
 def _kernel_basis_2n(rep):
     """Orthonormal basis (2n x n) of ker[F, G] for a validated representation."""
-    return null_space_basis(np.hstack([rep.F, rep.G]))
+    return subspace_bases(np.hstack([rep.F, rep.G]))[1]
 
 
 def distance_to_structure(rep, d):
@@ -370,7 +377,7 @@ def substructure_D0(rep):
     selector = np.zeros((rep.n_s, 2 * n))
     selector[:, n : n + rep.n_s] = np.eye(rep.n_s)
     stacked = np.vstack([np.hstack([rep.F, rep.G]), selector])
-    return null_space_basis(stacked)
+    return subspace_bases(stacked)[1]
 
 
 def extrapolation_split(rep_or_matrix):
@@ -385,25 +392,10 @@ def extrapolation_split(rep_or_matrix):
         f_s = rep_or_matrix.F_s
     else:
         f_s = as_matrix(rep_or_matrix, "F_s")
-    n_s = f_s.shape[1]
-    if f_s.size == 0 or not np.any(f_s):
-        kernel, coenergy = np.eye(n_s), np.zeros((n_s, 0))
-    else:
-        # one SVD so the two subspaces come from a single rank decision
-        _, svals, vt = np.linalg.svd(f_s, full_matrices=True)
-        threshold = rank_tolerance(f_s.shape, svals[0])
-        rank = int(np.count_nonzero(svals > threshold))
-        coenergy = vt[:rank].T
-        kernel = vt[rank:].T
-    p_co = coenergy @ coenergy.T
-    p_ker = kernel @ kernel.T
-    return ExtrapolationSplit(
-        kernel_basis=kernel,
-        coenergy_basis=coenergy,
-        projector_kernel=p_ker,
-        projector_coenergy=p_co,
-        rank=coenergy.shape[1],
-    )
+    coenergy, kernel = subspace_bases(f_s)
+    return ExtrapolationSplit(kernel_basis=kernel, coenergy_basis=coenergy,
+                              projector_kernel=kernel @ kernel.T,
+                              projector_coenergy=coenergy @ coenergy.T, rank=coenergy.shape[1])
 
 
 def self_orthogonality_defect(rep):

@@ -128,6 +128,14 @@ def string_grid(spec):
     return {"nodes": nodes, "cells": cells, "h": h, "masses": masses, "rho": rho}
 
 
+def _strain_coupling(n_cells):
+    """Rows, columns and signs of the +-1/h entries of the string's G (see ``string_system``)."""
+    c, n_v = np.arange(n_cells), n_cells + 1
+    rows = np.concatenate([c, c + 1, n_v + c, n_v + c])
+    cols = np.concatenate([n_v + c, n_v + c, c, c + 1])
+    return rows, cols, np.repeat([1.0, -1.0, -1.0, 1.0], n_cells)
+
+
 class StringHamiltonian(GeneralHamiltonian):
     """Kinetic plus elastic energy of the staggered string discretization.
 
@@ -167,6 +175,15 @@ class StringHamiltonian(GeneralHamiltonian):
         params = {"N": spec.N, "interval": list(spec.interval), "rho": spec.rho,
                   "force": {"kind": force.kind, "scale": float(force.scale)}}
         return {"type": "builtin", "name": "string", "params": params}
+
+    def check_structure(self, dirac):
+        """StructureError unless the 4N coupling entries of ``dirac.G`` are this interval's 1/h."""
+        rows, cols, signs = _strain_coupling(self.spec.N)
+        carried = signs * dirac.G[rows, cols]
+        worst = carried[np.argmax(np.abs(carried * self.h - 1.0))]
+        if not abs(worst * self.h - 1.0) <= 1e-12:
+            raise StructureError(f"the string's interval {list(self.spec.interval)} gives "
+                                 f"1/h = {1.0 / self.h!r}, but G carries {float(worst)!r}")
 
     @classmethod
     def from_params(cls, params):
@@ -208,11 +225,9 @@ def string_system(spec, causality=("effort", "effort")):
     f_mat[0, n_s] = 1.0        # left boundary tension enters the first momentum row
     f_mat[n_v - 1, n_s + 1] = 1.0
 
-    c = np.arange(n_e)
-    g_mat[c, n_v + c] = 1.0 / h        # momentum rows: tension differences / h
-    g_mat[c + 1, n_v + c] = -1.0 / h
-    g_mat[n_v + c, c] = -1.0 / h       # strain rows: velocity differences / h
-    g_mat[n_v + c, c + 1] = 1.0 / h
+    # momentum rows: tension differences / h; strain rows: velocity differences / h
+    rows, cols, signs = _strain_coupling(n_e)
+    g_mat[rows, cols] = signs / h
     g_mat[n_s, n_s] = 1.0      # port effort rows: e_P = boundary velocities
     g_mat[n_s, 0] = -1.0
     g_mat[n_s + 1, n_s + 1] = 1.0

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import as_matrix, row_space_basis
+from ._linalg import as_matrix, subspace_bases
 from .errors import DomainError, StructureError
 
 # 6-point Gauss-Legendre rule mapped to [0, 1] for the averaged vector field
@@ -171,7 +171,7 @@ def discrete_gradient(h, x, y):
     return _AVF_WEIGHTS @ h.gradient(x + _AVF_NODES[:, None] * (y - x))
 
 
-def check_gradient(h, points, step=1e-6, rtol=1e-5):
+def check_gradient(h, points, step=1e-6):
     """Verify gradient/value consistency by central differences at given points.
 
     Returns the worst relative error; raises nothing.  Intended for validating
@@ -324,7 +324,7 @@ class Parametric:
 
     def distance(self, x, f_r, e_r):
         """Euclidean distance of the stacked pair (f_R; e_R) to im[A; B]."""
-        q = row_space_basis(np.vstack([self.A, self.B]).T)
+        q = subspace_bases(np.vstack([self.A, self.B]).T)[0]
         w = np.concatenate([f_r, e_r], axis=-1)
         return np.linalg.norm(w - (w @ q) @ q.T, axis=-1)
 

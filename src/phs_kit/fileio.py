@@ -126,6 +126,7 @@ def parse_system_dict(doc):
                 raise FileFormatError(f"a string of N = {n_cells} cells has n_s = "
                                       f"{2 * n_cells + 1} states, but dims.n_s = {n_s}")
             ham = StringHamiltonian.from_params(params)
+            ham.check_structure(dirac)
         else:
             raise FileFormatError(f"unknown Hamiltonian type {ham_type!r}")
 

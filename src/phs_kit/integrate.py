@@ -37,7 +37,7 @@ import scipy.sparse
 from scipy.linalg.lapack import dgecon, dgetrs
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ._linalg import EPS, null_space_basis
+from ._linalg import EPS, subspace_bases
 from .energy import discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory
@@ -255,7 +255,7 @@ class _NewtonStep:
 
     def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
         self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
-        self.dt, self.prescribed, (self.F, self.G) = dt, prescribed, sys.dirac.csr
+        self.dt, self.prescribed = dt, prescribed
         self.x0 = self.u = None
 
     def start(self, k, x_k):
@@ -274,12 +274,13 @@ class _NewtonStep:
                                        0.5 * (x0 + x1), self.u)
         flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
         efforts = np.concatenate([self.gradient(x1), e_r, e_p])
-        return self.F @ flows + self.G @ efforts
+        return sys.dirac.residual(flows, efforts)
 
     def jacobian(self, z):
         n_s, x1 = self.x0.size, z[: self.x0.size]
+        F, G = self.sys.dirac.csr
         j_g = scipy.sparse.csr_array(_fd_jacobian(self.gradient, x1))
-        return scipy.sparse.hstack([-self.F[:, :n_s] / self.dt + self.G[:, :n_s] @ j_g, _aux_block(
+        return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ j_g, _aux_block(
             self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
 
     def run(self, solver, x, v):
@@ -424,7 +425,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     inputs = PortSignal.coerce(inputs)
     inputs.validate_channels(sys)
     d = sys.dirac
-    w = null_space_basis(d.F_s.T)
+    w = subspace_bases(d.F_s.T)[1]
     m = w.shape[1]
     if m == 0:
         return x_guess.copy(), ConsistencyReport(0.0, 0, 0.0, 0.0, False, True)
@@ -435,8 +436,8 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
 
     def constraint(x, v):
         f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x, prescribed)
-        return w.T @ (d.F_r @ f_r + d.F_p @ f_p + d.G_s @ ham_grad(sys.ham, x)
-                      + d.G_r @ e_r + d.G_p @ e_p)
+        return w.T @ d.residual(np.concatenate([np.zeros(sys.n_s), f_r, f_p]),
+                                np.concatenate([ham_grad(sys.ham, x), e_r, e_p]))
 
     def aux_jacobian(x):
         return w.T @ _aux_block(sys, effort_prescribed, x)

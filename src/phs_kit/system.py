@@ -153,10 +153,10 @@ def _inclusion_defects(sys, x, xdot, f_r, e_r, f_p, e_p):
     length m: || F (-xdot; f_R; f_P) + G (grad H(x); e_R; e_P) || and the
     distance of (f_R, e_R) to the relation at x.
     """
-    F, G = sys.dirac.csr
-    # one column per point, so the sparse products read the stacks in place
-    dirac = np.linalg.norm(F @ np.vstack([-xdot.T, f_r.T, f_p.T])
-                           + G @ np.vstack([sys.ham.gradient(x).T, e_r.T, e_p.T]), axis=0)
+    # bond rows stored column-major, which the sparse products read in place
+    flows = np.vstack([-xdot.T, f_r.T, f_p.T]).T
+    efforts = np.vstack([sys.ham.gradient(x).T, e_r.T, e_p.T]).T
+    dirac = np.linalg.norm(sys.dirac.residual(flows, efforts), axis=1)
     resistive = np.zeros(len(x)) if sys.res is None else sys.res.distance(x, f_r, e_r)
     return dirac, resistive
 
@@ -288,9 +288,6 @@ class PortSignal:
         if isinstance(obj, dict):
             return cls(obj)
         raise StructureError("port inputs must be a PortSignal or a dict {channel: signal}")
-
-    def channels(self):
-        return sorted(self._signals)
 
     def value(self, channel, t):
         return float(self.samples(channel, np.array([t], dtype=float))[0])

@@ -1,12 +1,14 @@
 """Trajectory certification: weak residual, mollification, energy audit.
 
-The weak residual tests sampled data against the time-weak form of the DAE
-with piecewise-linear hat test functions: only F_s x is differentiated, the
-derivative is moved onto the hat, states are interpolated piecewise-linearly
-and channel samples are piecewise constant.  Residuals are reported per unit
-test-function mass (each hat integrates to dt) and divided by
-(1 + max channel magnitude), which makes the tolerance scale-free and the
-report second-order small for trajectories produced by the integrator.
+The weak residual is the Dirac structure applied to the hat-tested bond pair.
+A weak solution's pair (∫ psidot x, ∫ psi f_R, ∫ psi f_P; ∫ psi grad H(x),
+∫ psi e_R, ∫ psi e_P) lies in ker[F, G] for every test function psi, and
+``weak_residual`` is F f + G e of it for the piecewise-linear hat at each
+interior node, with states interpolated piecewise-linearly and channel samples
+piecewise constant.  Residuals are reported per unit test-function mass (each
+hat integrates to dt) and divided by (1 + max channel magnitude), which makes
+the tolerance scale-free and the report second-order small for trajectories
+produced by the integrator.
 """
 
 import math
@@ -62,40 +64,41 @@ class WeakReport:
 def weak_residual(sys, traj):
     """Residual of the trajectory against the hat-function weak form.
 
-    For each interior node k and each canonical direction j the residual is
+    Row k-1 is F f + G e of the pair tested with the hat psi_k at interior
+    node k, which rises over interval k-1 and falls over interval k:
 
-        r_kj = ∫ psidot_k (F_s x)_j + ∫ psi_k (G_s grad H(x) + G_r e_R
-                + G_p e_P + F_r f_R + F_p f_P)_j
+        f = (x̄_{k-1} - x̄_k, ∫ psi_k f_R, ∫ psi_k f_P),
+        e = (∫ psi_k grad H(x), ∫ psi_k e_R, ∫ psi_k e_P),
 
-    with per-interval 2-point Gauss quadrature (exact for the piecewise
-    polynomial parts).  Reported values are |r_kj| / (dt (1 + max channel)).
+    with x̄_j the midpoint state of interval j, ∫ psi_k c = dt/2 (c_{k-1} + c_k)
+    for a channel and per-interval 2-point Gauss quadrature for grad H (exact
+    for the piecewise polynomial parts).  Reported values are
+    |r_kj| / (dt (1 + max channel)).
     """
     traj.check_shapes(sys)
-    m_steps = traj.steps
-    if m_steps < 2:
+    if traj.steps < 2:
         raise StructureError("weak residual needs at least two steps (one interior node)")
-    d = sys.dirac
-    dt = traj.dt
+    half_dt = 0.5 * traj.dt
     x = traj.x
 
-    # states at the two Gauss points of every interval: (M, 2, n_s)
-    x_lo = (1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:]
-    x_hi = (1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:]
+    # gradients at the two Gauss points of every interval, weighted by the hat
+    # rising over it (next node's hat) and falling over it (this node's hat)
+    grad_lo = sys.ham.gradient((1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:])
+    grad_hi = sys.ham.gradient((1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:])
+    rising = _GAUSS_LO * grad_lo + _GAUSS_HI * grad_hi
+    falling = (1.0 - _GAUSS_LO) * grad_lo + (1.0 - _GAUSS_HI) * grad_hi
+    x_mid = 0.5 * (x[:-1] + x[1:])
 
-    F_s, G_s = (m[:, : d.n_s] for m in d.csr)
-    const = (traj.e_r @ d.G_r.T + traj.e_p @ d.G_p.T
-             + traj.f_r @ d.F_r.T + traj.f_p @ d.F_p.T)
-    g_lo = (G_s @ sys.ham.gradient(x_lo).T + const.T).T
-    g_hi = (G_s @ sys.ham.gradient(x_hi).T + const.T).T
-    s_mean = (F_s @ (0.5 * (x_lo + x_hi)).T).T
+    def tested(c):
+        return half_dt * (c[:-1] + c[1:]).T
 
-    # hat at node k: rising over interval k-1, falling over interval k
-    rising = _GAUSS_LO * g_lo + _GAUSS_HI * g_hi
-    falling = (1.0 - _GAUSS_LO) * g_lo + (1.0 - _GAUSS_HI) * g_hi
-    raw = (s_mean[:-1] - s_mean[1:]) + 0.5 * dt * (rising[:-1] + falling[1:])
+    # bond rows stored column-major, which the sparse products read in place
+    raw = sys.dirac.residual(
+        np.vstack([(x_mid[:-1] - x_mid[1:]).T, tested(traj.f_r), tested(traj.f_p)]).T,
+        np.vstack([half_dt * (rising[:-1] + falling[1:]).T, tested(traj.e_r), tested(traj.e_p)]).T)
 
     normalization = 1.0 + traj.channel_magnitude()
-    residuals = np.abs(raw) / (dt * normalization)
+    residuals = np.abs(raw) / (traj.dt * normalization)
     return WeakReport(
         max_residual=float(residuals.max()),
         residuals=residuals,

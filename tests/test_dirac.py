@@ -79,6 +79,38 @@ def test_validate_agrees_with_svd(case):
     assert skewed.skew_defect > skewed.tol
 
 
+@st.composite
+def structures_with_bond_rows(draw):
+    """A random Dirac structure with n_s, n_r, n_p > 0 and a batch of m bond vectors."""
+    n = draw(st.integers(3, 40) | st.integers(SPARSE_MIN_N - 20, SPARSE_MIN_N + 100))
+    n_s = draw(st.integers(1, n - 2))
+    n_r = draw(st.integers(1, n - n_s - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rep = random_dirac(rng, n, band=draw(st.none() | st.integers(1, 3)))
+    rep = pk.DiracKernelRep(F=rep.F, G=rep.G, n_s=n_s, n_r=n_r, n_p=n - n_s - n_r)
+    m = draw(st.integers(1, 6))
+    return rep, rng.standard_normal((m, n)), rng.standard_normal((m, n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(structures_with_bond_rows())
+def test_residual_matches_dense_products(case):
+    rep, f, e = case
+    want = f @ rep.F.T + e @ rep.G.T
+    scale = np.abs(f) @ np.abs(rep.F).T + np.abs(e) @ np.abs(rep.G).T
+    batch = rep.residual(f, e)
+    assert batch.shape == f.shape
+    assert np.all(np.abs(batch - want) <= 1e-13 * scale)
+    single = rep.residual(f[0], e[0])
+    assert single.shape == (rep.n,)
+    assert np.all(np.abs(single - want[0]) <= 1e-13 * scale[0])
+    n = rep.n
+    for bad_f, bad_e in ((f[0, :-1], e[0, :-1]), (np.zeros((2, n + 1)), np.zeros((2, n + 1))),
+                         (f, e[:, :-1]), (f[0], e), (np.zeros((1, 1, n)), np.zeros((1, 1, n)))):
+        with pytest.raises(pk.StructureError, match="width"):
+            rep.residual(bad_f, bad_e)
+
+
 @pytest.mark.parametrize("kind, small, large", [("string", 2, 512), ("diffusion", 3, 256)])
 def test_validate_both_sides_of_sparse_cutoff(kind, small, large):
     reps = [pk.make_example(kind, N=n)[0].dirac for n in (small, large)]

@@ -87,6 +87,25 @@ def test_builtin_string_file_refuses_a_bad_cell_count(runner, tmp_path, n_cells,
     assert system_from_dict(doc).ham.spec.N == 4
 
 
+@pytest.mark.parametrize("interval, accepted", [
+    ([0.0, 2.0], False), ([0.0, 1.0 + 1e-10], False), ([0.0, 1.0 + 1e-14], True), ([1.0, 2.0], True),
+])
+def test_builtin_string_file_refuses_an_interval_that_disagrees_with_g(runner, tmp_path, interval,
+                                                                       accepted):
+    # the stored G carries 1/h = 4: the interval must give h = (b - a)/N = 0.25
+    doc = json.loads(STRING_N4_TANH.read_text(encoding="utf-8"))
+    doc["hamiltonian"]["params"]["interval"] = interval
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if accepted:
+        assert system_from_dict(doc).ham.h == pytest.approx(0.25, rel=1e-13)
+        assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    else:
+        with pytest.raises(FileFormatError, match="interval"):
+            system_from_dict(doc)
+        assert runner.invoke(main, ["validate", str(path)]).exit_code == 2
+
+
 def test_callable_force_string_refuses_save(tmp_path):
     sys_, _ = pk.string_system(pk.StringSpec(N=4, force=lambda xi, eps: np.sinh(eps)))
     with pytest.raises(pk.StructureError, match="only quadratic or builtin Hamiltonians"):

@@ -89,6 +89,58 @@ def test_weak_residual_step_forced_vs_strong(forced):
     assert abs(audit.argmax_time - t_jump) <= 2 * dt
 
 
+def _weak_by_blocks(sys_, traj):
+    """The weak residual table assembled block by block, the formula before it applied ker[F, G]."""
+    d, dt, x = sys_.dirac, traj.dt, traj.x
+    lo, hi = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+    x_lo = (1.0 - lo) * x[:-1] + lo * x[1:]
+    x_hi = (1.0 - hi) * x[:-1] + hi * x[1:]
+    const = traj.e_r @ d.G_r.T + traj.e_p @ d.G_p.T + traj.f_r @ d.F_r.T + traj.f_p @ d.F_p.T
+    g_lo = sys_.ham.gradient(x_lo) @ d.G_s.T + const
+    g_hi = sys_.ham.gradient(x_hi) @ d.G_s.T + const
+    s_mean = 0.5 * (x_lo + x_hi) @ d.F_s.T
+    rising = lo * g_lo + hi * g_hi
+    falling = (1.0 - lo) * g_lo + (1.0 - hi) * g_hi
+    raw = (s_mean[:-1] - s_mean[1:]) + 0.5 * dt * (rising[:-1] + falling[1:])
+    return np.abs(raw) / (dt * (1.0 + traj.channel_magnitude()))
+
+
+def _weak_cases():
+    damped = pk.damped_oscillator(1.0)
+    string_tanh, _ = pk.make_example("string", N=16, force="tanh")
+    string_linear, _ = pk.make_example("string", N=16, force="linear")
+    strain = np.concatenate([np.zeros(17), 0.3 * np.sin(np.pi * (np.arange(16) + 0.5) / 16)])
+    shake = {1: lambda t: 0.3 * np.sin(2.0 * t)}
+    diffusion, _ = pk.make_example("diffusion", N=16)
+    parametric = pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[2.0]], B=[[-1.0]]), ())
+    modulated = pk.assemble(
+        damped.dirac, damped.ham,
+        pk.Modulated(family=lambda x: pk.LinearGraph(R=[[1.0 + x[0] ** 2]]), n_r=1), (),
+    )
+    return {
+        "string_tanh_im": (string_tanh, strain, shake, "implicit_midpoint"),
+        "string_linear_dg": (string_linear, strain, shake, "discrete_gradient"),
+        "damped": (damped, [1.0, 0.0], None, "implicit_midpoint"),
+        "forced_dg": (pk.forced_oscillator(), [0.6, -0.8], {0: lambda t: 0.3 * np.sin(2.0 * t + 0.5)},
+                      "discrete_gradient"),
+        "diffusion": (diffusion, np.sin(np.arange(16.0)), {0: 0.3}, "implicit_midpoint"),
+        "parametric": (parametric, [1.0, 0.5], None, "implicit_midpoint"),
+        "modulated": (modulated, [1.0, 0.0], None, "implicit_midpoint"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_weak_cases()))
+def test_weak_residual_matches_block_formula(name):
+    sys_, x0, inputs, scheme = _weak_cases()[name]
+    traj = simulate(sys_, x0, inputs, (0.0, 0.5), SchemeConfig(scheme=scheme, dt=1e-3))
+    report = weak_residual(sys_, traj)
+    reference = _weak_by_blocks(sys_, traj)
+    assert np.max(np.abs(report.residuals - reference)) <= 1e-12
+    node, direction = np.unravel_index(int(np.argmax(reference)), reference.shape)
+    assert report.as_dict()["argmax_time"] == traj.t[1 + node]
+    assert report.as_dict()["argmax_direction"] == direction
+
+
 def test_energy_report_lossless(oscillator):
     traj = simulate(oscillator, [1.0, 0.0], None, (0.0, 2.0), SchemeConfig(dt=1e-3))
     report = energy_report(oscillator, traj)

@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers (numerical rank, subspaces)."""
+"""Small shared linear-algebra helpers (numerical rank, subspaces, a difference Jacobian)."""
 
 import numpy as np
 
@@ -27,19 +27,13 @@ def subspace_bases(m):
     return vt[:rank].T, vt[rank:].T
 
 
-def subspace_angle_max(a, b):
-    """Largest principal angle (radians) between the column spans of a, b.
-
-    Computed through its sine (max singular value of the projection of one
-    orthonormal basis onto the other's complement), which stays accurate for
-    nearly identical subspaces where the cosine formula loses half the digits.
-    """
-    if a.shape[1] != b.shape[1]:
-        return np.pi / 2 if max(a.shape[1], b.shape[1]) else 0.0
-    if a.shape[1] == 0:
-        return 0.0
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    rejection = qb - qa @ (qa.T @ qb)
-    sine = np.linalg.svd(rejection, compute_uv=False).max()
-    return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
+def _fd_jacobian(fn, y):
+    """Forward-difference Jacobian of ``fn`` at y, step sqrt(eps)*(1+||y||)."""
+    f0 = fn(y)
+    jac = np.empty((f0.size, y.size))
+    h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(y)))
+    for j in range(y.size):
+        yp = y.copy()
+        yp[j] += h
+        jac[:, j] = (fn(yp) - f0) / h
+    return jac

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._linalg import EPS, as_matrix, subspace_angle_max, subspace_bases
+from ._linalg import EPS, as_matrix, subspace_bases
 from .errors import StructureError
 
 __all__ = [
@@ -397,20 +397,3 @@ def extrapolation_split(rep_or_matrix):
                               projector_kernel=kernel @ kernel.T,
                               projector_coenergy=coenergy @ coenergy.T, rank=coenergy.shape[1])
 
-
-def self_orthogonality_defect(rep):
-    """Max |pairing| over all pairs of a computed null-space basis of [F, G].
-
-    Diagnostic for the forward direction of the Dirac property; zero up to
-    roundoff for valid structures.
-    """
-    basis = _kernel_basis_2n(rep)
-    n = rep.n
-    fs, es = basis[:n, :], basis[n:, :]
-    gram = fs.T @ es + es.T @ fs
-    return float(np.max(np.abs(gram))) if gram.size else 0.0
-
-
-def subspace_mismatch(basis_a, basis_b):
-    """Largest principal angle between two column spans (test convenience)."""
-    return subspace_angle_max(np.asarray(basis_a, float), np.asarray(basis_b, float))

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
+import scipy.sparse
 
+from ._linalg import EPS
 from .dirac import DiracKernelRep
 from .energy import GeneralHamiltonian, LinearGraph, QuadraticHamiltonian
 from .errors import StructureError
@@ -54,10 +56,10 @@ def _log_cosh(eps):
     return np.where(a < 1.0, near, a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
 
 
-# named restoring-force laws f(eps) and their potentials ∫_0^eps f
+# named restoring-force laws f(eps), their potentials ∫_0^eps f and their slopes f'(eps)
 FORCE_KINDS = {
-    "linear": (lambda eps: eps, lambda eps: 0.5 * eps * eps),
-    "tanh": (np.tanh, _log_cosh),
+    "linear": (lambda eps: eps, lambda eps: 0.5 * eps * eps, np.ones_like),
+    "tanh": (np.tanh, _log_cosh, lambda eps: 1.0 - np.tanh(eps) ** 2),
 }
 
 
@@ -65,8 +67,8 @@ FORCE_KINDS = {
 class NamedForce:
     """Restoring force ``force(xi, eps) = scale * f(eps)`` of a kind in FORCE_KINDS.
 
-    ``potential(eps)`` is its energy density in closed form; kind and scale
-    are the string energy's file form.
+    ``potential(eps)`` is its energy density and ``slope(eps)`` its derivative,
+    both in closed form; kind and scale are the string energy's file form.
     """
 
     kind: str
@@ -82,6 +84,9 @@ class NamedForce:
 
     def potential(self, eps):
         return self.scale * FORCE_KINDS[self.kind][1](eps)
+
+    def slope(self, eps):
+        return self.scale * FORCE_KINDS[self.kind][2](eps)
 
 
 def _sample_coefficient(coeff, points, name):
@@ -166,6 +171,21 @@ class StringHamiltonian(GeneralHamiltonian):
         x = np.asarray(x, dtype=float)
         p, e = x[..., :self.masses.size], x[..., self.masses.size:]
         return np.concatenate([p / self.masses, self.h * self.spec.force(self.cells, e)], axis=-1)
+
+    def hessian(self, x=None):
+        """Sparse diagonal Hessian at x: 1/masses, then h f'(strain); None without x.
+
+        A callable force's f' is one elementwise forward difference.
+        """
+        if x is None:
+            return None
+        e, force = np.asarray(x, dtype=float)[self.masses.size:], self.spec.force
+        if isinstance(force, NamedForce):
+            slope = force.slope(e)
+        else:
+            step = (e + np.sqrt(EPS) * (1.0 + np.abs(e))) - e
+            slope = (force(self.cells, e + step) - force(self.cells, e)) / step
+        return scipy.sparse.diags_array(np.concatenate([1.0 / self.masses, self.h * slope]))
 
     def to_dict(self):
         """The "builtin" file form; None for a callable force or density."""

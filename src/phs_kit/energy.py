@@ -3,16 +3,16 @@
 This module defines the energy types (discretize adds the string's) and the
 relation types; the simulator, the audits and the file layer use only these
 methods.  An energy has ``value`` and ``gradient`` on one state (n_s,) or a
-batch (m, n_s), ``linear_gradient()`` -> (H, b) when its gradient is the
-affine map H x + b (else None), and ``to_dict`` (None when it has no file
-form); the one discrete gradient, ``discrete_gradient(h, x, y)``, needs only
-these.  A relation has ``n_aux`` (its auxiliary unknowns in a time step),
-``at(x)`` (the concrete relation at a state), ``pair(v, x)`` -> (f_R, e_R),
-``linear_maps()`` -> (A, B) when f_R = A v and e_R = B v at every state
-(else None), ``check(tol, states)`` -> ResistiveValidation,
-``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair`` and ``distance`` take
-one vector or a batch over leading axes; the state x matters only to a
-Modulated relation, which resolves a batch row by row.
+batch (m, n_s), ``hessian(x)`` at one state (an array or a sparse array),
+``hessian()`` -> the constant Hessian of an affine gradient (else None), and
+``to_dict`` (None when it has no file form); the one discrete gradient,
+``discrete_gradient(h, x, y)``, needs only these.  A relation has ``n_aux``
+(its auxiliary unknowns in a time step), ``at(x)`` (the concrete relation at
+a state), ``pair(v, x)`` -> (f_R, e_R), ``linear_maps()`` -> (A, B) when
+f_R = A v and e_R = B v at every state (else None), ``check(tol, states)`` ->
+ResistiveValidation, ``distance(x, f_R, e_R)`` and ``to_dict``.  ``pair`` and
+``distance`` take one vector or a batch over leading axes; the state x matters
+only to a Modulated relation, which resolves a batch row by row.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import as_matrix, subspace_bases
+from ._linalg import _fd_jacobian, as_matrix, subspace_bases
 from .errors import DomainError, StructureError
 
 # 6-point Gauss-Legendre rule mapped to [0, 1] for the averaged vector field
@@ -81,9 +81,9 @@ class QuadraticHamiltonian:
         """Gradient of a state, or of each row of a batch."""
         return np.asarray(x, dtype=float) @ self.H.T + self.b
 
-    def linear_gradient(self):
-        """(H, b): the gradient is the affine map H x + b."""
-        return self.H, self.b
+    def hessian(self, x=None):
+        """H, at every state: the gradient is the affine map H x + b."""
+        return self.H
 
     def to_dict(self):
         """Inline file form."""
@@ -127,9 +127,9 @@ class GeneralHamiltonian:
             raise StructureError(f"gradient must have length {self.dim}, got {g.shape}")
         return g
 
-    def linear_gradient(self):
-        """None: the gradient of a general energy is not known to be affine."""
-        return None
+    def hessian(self, x=None):
+        """Forward difference of the gradient at x; None without x (not known to be constant)."""
+        return None if x is None else _fd_jacobian(self.gradient, np.asarray(x, dtype=float))
 
     def to_dict(self):
         """None: user callables have no file form; a subclass may give one."""
@@ -156,7 +156,7 @@ def discrete_gradient(h, x, y):
     """Averaged vector field g = ∫_0^1 grad H(x + s (y - x)) ds between states x and y.
 
     g·(y-x) = H(y) - H(x) and g(x, x) = grad H(x).  An affine gradient
-    (``linear_gradient()`` not None) gives the midpoint gradient, exactly.
+    (``hessian()`` not None) gives the midpoint gradient, exactly.
     Otherwise a fixed 6-point Gauss-Legendre rule on [0, 1] integrates it:
     exact for polynomial H up to degree 12, else the energy defect is about
     1.9e-16 |y-x|^13 max ||D^13 H|| along the segment.  A ``domain``
@@ -166,7 +166,7 @@ def discrete_gradient(h, x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != (h.dim,) or y.shape != (h.dim,):
         raise StructureError(f"states must have length {h.dim}, got {x.shape} and {y.shape}")
-    if h.linear_gradient() is not None:
+    if h.hessian() is not None:
         return h.gradient(0.5 * (x + y))
     return _AVF_WEIGHTS @ h.gradient(x + _AVF_NODES[:, None] * (y - x))
 

@@ -12,18 +12,18 @@ polynomial energies up to degree 12, to a quadrature error otherwise.
 
 The residual is linear in the auxiliary unknowns v = (v_R, v_P), through
 C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)] (``_aux_block``); only g is
-nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C].  With a
-quadratic Hamiltonian (``linear_gradient()`` not None) and a relation that is
-absent or linear and state-independent (``linear_maps()`` not None) the step
-map is affine: g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once
-with LAPACK's LU.  Its steps form a linear recurrence, advanced a block of
-steps at a time (``_AffineStep.run``); Newton's own test certifies every step
-in batches, and a step that fails it, or is not finite, is Newton-solved from
-its predictor before the recurrence resumes.  A certified step counts as one
-Newton iteration.  Other systems apply the sparse view of the Dirac blocks,
-difference only the scheme's gradient map x1 -> g (n_s gradient calls per
-Jacobian) and factor their CSC Jacobian with SuperLU, whose solves give the
-condition estimate through ``onenormest`` with t=1: no random vectors.
+nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C], with dg/dx1
+from the energy's ``hessian`` (``_StepMap``).  With a constant Hessian
+(``hessian()`` not None) and a relation that is absent or linear and
+state-independent (``linear_maps()`` not None) the step map is affine:
+g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once with LAPACK's
+LU.  Its steps form a linear recurrence, advanced a block of steps at a time
+(``_StepMap.run``); Newton's own test certifies every step in batches, and a
+step that fails it, or is not finite, is Newton-solved from its predictor
+before the recurrence resumes.  A certified step counts as one Newton
+iteration.  Other systems apply the sparse view of the Dirac blocks and
+factor their CSC Jacobian with SuperLU, whose solves give the condition
+estimate through ``onenormest`` with t=1: no random vectors.
 """
 
 import math
@@ -37,8 +37,8 @@ import scipy.sparse
 from scipy.linalg.lapack import dgecon, dgetrs
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ._linalg import EPS, subspace_bases
-from .energy import discrete_gradient, ham_grad
+from ._linalg import EPS, _fd_jacobian, subspace_bases
+from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory
 
@@ -115,18 +115,6 @@ def _state(sys, x, name):
     return x
 
 
-def _fd_jacobian(fn, y):
-    """Forward-difference Jacobian of ``fn`` at y, step sqrt(eps)*(1+||y||)."""
-    f0 = fn(y)
-    jac = np.empty((f0.size, y.size))
-    h = np.sqrt(EPS) * (1.0 + float(np.linalg.norm(y)))
-    for j in range(y.size):
-        yp = y.copy()
-        yp[j] += h
-        jac[:, j] = (fn(yp) - f0) / h
-    return jac
-
-
 def _aux_block(sys, effort_prescribed, x):
     """C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)]: the exact map v -> residual.
 
@@ -139,41 +127,62 @@ def _aux_block(sys, effort_prescribed, x):
     return np.hstack([d.F_r @ a + d.G_r @ b, d.F_p * m + d.G_p * (1.0 - m)])
 
 
-class _AffineStep:
-    """Step residual r(z) = K z + L x_k + P u_k + c of an affine step map.
+class _StepMap:
+    """Residual F (-(x1 - x0)/dt; f_R; f_P) + G (g; e_R; e_P) of a step, and its Jacobian.
 
-    z = (x_{k+1}, v).  With g = H (x_k + x_{k+1})/2 + b:
-    K = [-F_s/dt + G_s H/2, C], L = F_s/dt + G_s H/2,
-    P = F_p (I - D_m) + G_p D_m and c = G_s b.  ``run`` steps the whole
-    grid; ``start``, ``residual`` and ``jacobian`` serve its Newton fallback.
+    z = (x1, v).  The Jacobian is [-F_s/dt + G_s J_g, C(x_mid)], with J_g =
+    dg/dx1 from the energy's Hessian: Hess(x_mid)/2 (implicit midpoint, or any
+    affine gradient), else the AVF's ∫_0^1 s Hess(x0 + s (x1 - x0)) ds on its
+    6 nodes.  For a Modulated relation it leaves out how C varies with the
+    state: Newton then converges linearly, to the same root, because the
+    residual itself is exact.  ``run`` steps the whole grid.
     """
 
-    name = "affine"
-
-    def __init__(self, sys, linear_gradient, effort_prescribed, dt, prescribed):
-        d = sys.dirac
-        h, b = linear_gradient
-        m = effort_prescribed.astype(float)
-        half_gh = 0.5 * (d.G_s @ h)
-        # the relation does not depend on the state, so any state resolves it
-        self.K = np.hstack([-d.F_s / dt + half_gh, _aux_block(sys, effort_prescribed, None)])
-        self.L = d.F_s / dt + half_gh
-        self.P, self.c = d.F_p * (1.0 - m) + d.G_p * m, d.G_s @ b
-        self.prescribed = prescribed
-        self.rhs = None
+    def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
+        self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
+        self.dt, self.prescribed = dt, prescribed
+        self.hessian = sys.ham.hessian()
+        linear = sys.res is None or sys.res.linear_maps() is not None
+        self.name = "affine" if self.hessian is not None and linear else "newton"
 
     def start(self, k, x_k):
-        self.rhs = self.L @ x_k + self.P @ self.prescribed[k] + self.c
+        self.x0, self.u = x_k, self.prescribed[k]
+
+    def gradient(self, x1):
+        """The scheme's co-energy g(x_k, x1)."""
+        if self.use_dg:
+            return discrete_gradient(self.sys.ham, self.x0, x1)
+        return ham_grad(self.sys.ham, 0.5 * (self.x0 + x1))
+
+    def gradient_jacobian(self, x1):
+        """J_g = dg/dx1 (class docstring)."""
+        ham, x0 = self.sys.ham, self.x0
+        if not self.use_dg or self.hessian is not None:
+            return 0.5 * ham.hessian(0.5 * (x0 + x1))
+        return sum(w * s * ham.hessian(x0 + s * (x1 - x0)) for s, w in zip(_AVF_NODES, _AVF_WEIGHTS))
 
     def residual(self, z):
-        return self.K @ z + self.rhs
+        sys, x0 = self.sys, self.x0
+        x1 = z[: x0.size]
+        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:],
+                                       0.5 * (x0 + x1), self.u)
+        flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
+        efforts = np.concatenate([self.gradient(x1), e_r, e_p])
+        return sys.dirac.residual(flows, efforts)
 
     def jacobian(self, z):
-        return self.K
+        n_s, x1 = self.x0.size, z[: self.x0.size]
+        F, G = self.sys.dirac.csr
+        j_g = scipy.sparse.csr_array(self.gradient_jacobian(x1))
+        return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ j_g, _aux_block(
+            self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
 
     def run(self, solver, x, v):
         """Fill x[1:] and v[1:] (see ``_solve_steps``); returns the largest step residual.
 
+        A Newton map solves each step in turn.  An affine map's step k has the
+        residual K z + L x_k + P u_k + c with K = [-F_s/dt + G_s H/2, C],
+        L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s grad H(0).
         With y_k = (x_k; u_k; 1) and K S = [L, P, c], step k's exact solution
         is z_{k+1} = -S y_k: x_{k+1} = A x_k + w_k with (A, W) = -S_x and
         w_k = W (u_k; 1).  A block of b steps is (x_{k+1}; ...; x_{k+b}) =
@@ -182,10 +191,18 @@ class _AffineStep:
         ``_NewtonSolver.solve``, and its first failing step is Newton-solved.
         """
         n_steps, n_s = len(self.prescribed), x.shape[1]
-        maps = np.hstack([self.L, self.P, self.c[:, None]])
+        if self.name == "newton":
+            return _solve_steps(self, solver, x, v, 0, n_steps)
+        d, m = self.sys.dirac, self.effort_prescribed.astype(float)
+        half_gh = 0.5 * (d.G_s @ self.hessian)
+        # the relation does not depend on the state, so any state resolves it
+        k_mat = np.hstack([-d.F_s / self.dt + half_gh,
+                           _aux_block(self.sys, self.effort_prescribed, None)])
+        maps = np.hstack([d.F_s / self.dt + half_gh, d.F_p * (1.0 - m) + d.G_p * m,
+                          (d.G_s @ self.sys.ham.gradient(np.zeros(n_s)))[:, None]])
         try:
             # K is factored once: condition estimate, singular and non-finite checks
-            solver._refresh(self, None)
+            solver.factor(k_mat)
             minus_s = -solver.lu_solve(maps)
         except NewtonError as exc:
             exc.step = 0
@@ -205,7 +222,7 @@ class _AffineStep:
         toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
         toeplitz_t = toeplitz.transpose(0, 2, 1, 3).reshape(b * n_s, b * n_s).T
 
-        k_x, k_v, maps_t = self.K[:, :n_s].T, self.K[:, n_s:].T, maps.T
+        k_x, k_v, maps_t = k_mat[:, :n_s].T, k_mat[:, n_s:].T, maps.T
         tol = solver.cfg.newton_tol
         max_residual, k = 0.0, 0
         while k < n_steps:
@@ -242,51 +259,6 @@ class _AffineStep:
         return max_residual
 
 
-class _NewtonStep:
-    """Step residual of any other system, with the Jacobian [-F_s/dt + G_s dg/dx1, C(x_mid)].
-
-    Only the scheme's gradient map x1 -> g(x_k, x1) is differenced; the
-    auxiliary block C is exact.  For a Modulated relation the Jacobian leaves
-    out how C varies with the state: Newton then converges linearly, to the
-    same root, because the residual itself is exact.
-    """
-
-    name = "newton"
-
-    def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
-        self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
-        self.dt, self.prescribed = dt, prescribed
-        self.x0 = self.u = None
-
-    def start(self, k, x_k):
-        self.x0, self.u = x_k, self.prescribed[k]
-
-    def gradient(self, x1):
-        """The scheme's co-energy g(x_k, x1)."""
-        if self.use_dg:
-            return discrete_gradient(self.sys.ham, self.x0, x1)
-        return ham_grad(self.sys.ham, 0.5 * (self.x0 + x1))
-
-    def residual(self, z):
-        sys, x0 = self.sys, self.x0
-        x1 = z[: x0.size]
-        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:],
-                                       0.5 * (x0 + x1), self.u)
-        flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
-        efforts = np.concatenate([self.gradient(x1), e_r, e_p])
-        return sys.dirac.residual(flows, efforts)
-
-    def jacobian(self, z):
-        n_s, x1 = self.x0.size, z[: self.x0.size]
-        F, G = self.sys.dirac.csr
-        j_g = scipy.sparse.csr_array(_fd_jacobian(self.gradient, x1))
-        return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ j_g, _aux_block(
-            self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
-
-    def run(self, solver, x, v):
-        return _solve_steps(self, solver, x, v, 0, len(self.prescribed))
-
-
 def _solve_steps(step_map, solver, x, v, first, last):
     """Newton-solve steps first..last-1 in turn, each from its predictor (x_k, v_k).
 
@@ -303,6 +275,7 @@ def _solve_steps(step_map, solver, x, v, first, last):
             raise
         x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
         max_residual = max(max_residual, res_norm)
+        solver.solved_steps += 1
     return max_residual
 
 
@@ -317,10 +290,9 @@ class _NewtonSolver:
     def __init__(self, cfg):
         self.cfg = cfg
         self.lu = self.lu_solve = self.condition = None
-        self.rebuilds = self.iterations = 0
+        self.rebuilds = self.iterations = self.solved_steps = 0
 
-    def _refresh(self, step_map, z):
-        jac = step_map.jacobian(z)
+    def factor(self, jac):
         sparse = scipy.sparse.issparse(jac)
         try:
             if sparse and not np.all(np.isfinite(jac.data)):
@@ -365,13 +337,13 @@ class _NewtonSolver:
                 raise NewtonError("step residual is not finite", step=step, residual=norm)
             refreshed = self.lu is None
             if refreshed:
-                self._refresh(step_map, z)
+                self.factor(step_map.jacobian(z))
             z_new = z - self.lu_solve(r)
             r_new = residual(z_new)
             norm_new = math.sqrt(r_new @ r_new)
             if (not norm_new <= 0.5 * norm) and norm_new > tol and not refreshed:
                 # stale cached Jacobian: rebuild at the current iterate and retry
-                self._refresh(step_map, z)
+                self.factor(step_map.jacobian(z))
                 refreshed = True
                 z_new = z - self.lu_solve(r)
                 r_new = residual(z_new)
@@ -497,7 +469,8 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
 
     The metadata records the step map ("affine" or "newton"), the Newton
     iterations summed over all steps (a certified affine step counts one),
-    the largest step residual, the Jacobian factorizations, and the first
+    the steps Newton solved (every step of a Newton map, the certificate
+    fallbacks of an affine one), the largest step residual, the Jacobian factorizations, and the first
     Jacobian's 1-norm condition estimate: ``dgecon``, or on the Newton path
     SuperLU's ``onenormest`` with t=1, which draws no random vectors
     (deterministic).
@@ -529,12 +502,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     prescribed = np.empty((n_steps, n_p))
     for i in range(n_p):
         prescribed[:, i] = inputs.samples(i, t0 + (np.arange(n_steps) + 0.5) * dt)
-    linear_gradient = sys.ham.linear_gradient()
-    if linear_gradient is None or (sys.res is not None and sys.res.linear_maps() is None):
-        step_map = _NewtonStep(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt,
-                               prescribed)
-    else:
-        step_map = _AffineStep(sys, linear_gradient, effort_prescribed, dt, prescribed)
+    step_map = _StepMap(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt, prescribed)
     solver = _NewtonSolver(cfg)
 
     t = t0 + dt * np.arange(n_steps + 1)
@@ -554,6 +522,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
         "newton_tol": cfg.newton_tol,
         "step_map": step_map.name,
         "newton_iterations": solver.iterations,
+        "newton_solved_steps": solver.solved_steps,
         "max_step_residual": max_residual,
         "jacobian_rebuilds": solver.rebuilds,
         "jacobian_condition": solver.condition,

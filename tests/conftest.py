@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phs_kit as pk
+from phs_kit.dirac import _kernel_basis_2n
 
 
 def random_skew(rng, n):
@@ -36,6 +37,38 @@ def random_dirac(rng, n, mix=True, band=None):
     n_r = min(n_r, n - n_s)
     n_p = n - n_s - n_r
     return pk.DiracKernelRep(F=f_mat, G=g_mat, n_s=n_s, n_r=n_r, n_p=n_p)
+
+
+def self_orthogonality_defect(rep):
+    """Max |pairing| over all pairs of a computed null-space basis of [F, G].
+
+    Diagnostic for the forward direction of the Dirac property; zero up to
+    roundoff for valid structures.
+    """
+    basis = _kernel_basis_2n(rep)
+    n = rep.n
+    fs, es = basis[:n, :], basis[n:, :]
+    gram = fs.T @ es + es.T @ fs
+    return float(np.max(np.abs(gram))) if gram.size else 0.0
+
+
+def subspace_mismatch(a, b):
+    """Largest principal angle (radians) between the column spans of a, b.
+
+    Computed through its sine (max singular value of the projection of one
+    orthonormal basis onto the other's complement), which stays accurate for
+    nearly identical subspaces where the cosine formula loses half the digits.
+    """
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.shape[1] != b.shape[1]:
+        return np.pi / 2 if max(a.shape[1], b.shape[1]) else 0.0
+    if a.shape[1] == 0:
+        return 0.0
+    qa, _ = np.linalg.qr(a)
+    qb, _ = np.linalg.qr(b)
+    rejection = qb - qa @ (qa.T @ qb)
+    sine = np.linalg.svd(rejection, compute_uv=False).max()
+    return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import phs_kit as pk
-from phs_kit.dirac import SPARSE_MIN_N, self_orthogonality_defect, subspace_mismatch
+from phs_kit.dirac import SPARSE_MIN_N
 
-from conftest import random_dirac
+from conftest import random_dirac, self_orthogonality_defect, subspace_mismatch
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import phs_kit as pk
 from phs_kit import discrete_gradient, ham_eval, ham_grad, resistive_check, resistive_residual
+from phs_kit.discretize import NamedForce, StringHamiltonian
 
 
 def quartic():
@@ -251,3 +253,48 @@ def test_hamiltonian_batched_value_and_gradient_match_rows(rng, kind):
                                rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(h.gradient(states), [ham_grad(h, s) for s in states],
                                rtol=1e-14, atol=1e-14)
+
+
+STRING_FORCES = {
+    "linear": NamedForce("linear"),
+    "tanh": NamedForce("tanh"),
+    "scaled": NamedForce("tanh", 2.5),
+    "callable": lambda xi, eps: (1.0 + xi) * np.sinh(eps),
+}
+
+
+@st.composite
+def energies_with_state(draw):
+    """A kind of energy, one of that kind, and a state for it."""
+    kind = draw(st.sampled_from(["quadratic", "general", *STRING_FORCES]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "quadratic":
+        n = draw(st.integers(1, 6))
+        a = rng.standard_normal((n, n))
+        h = pk.QuadraticHamiltonian(H=a + a.T, b=rng.standard_normal(n))
+    elif kind == "general":
+        h = quartic()
+    else:
+        spec = pk.StringSpec(N=draw(st.integers(2, 8)), rho=lambda xi: 1.0 + xi,
+                             force=STRING_FORCES[kind])
+        h = StringHamiltonian(spec)
+    return kind, h, rng.uniform(-1.5, 1.5, h.dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(energies_with_state())
+def test_hessian_matches_central_differences_of_the_gradient(case):
+    kind, h, x = case
+    step = 1e-6
+    reference = np.column_stack([(h.gradient(x + step * e) - h.gradient(x - step * e)) / (2 * step)
+                                 for e in np.eye(x.size)])
+    hessian = h.hessian(x)
+    hessian = hessian.toarray() if scipy.sparse.issparse(hessian) else hessian
+    assert hessian.shape == (h.dim, h.dim)
+    np.testing.assert_allclose(hessian, reference, rtol=0,
+                               atol=1e-6 * max(1.0, float(np.max(np.abs(reference)))))
+    # only a quadratic energy has a constant Hessian
+    if kind == "quadratic":
+        assert h.hessian() is h.H
+    else:
+        assert h.hessian() is None

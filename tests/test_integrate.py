@@ -6,11 +6,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgecon
-from scipy.optimize import minimize
+from scipy.optimize import root_scalar
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
-from phs_kit.integrate import _AffineStep, _NewtonSolver, _NewtonStep, _aux_block, _fd_jacobian
+from phs_kit.integrate import _NewtonSolver, _StepMap, _aux_block
 
 
 def closed_form_oscillator(t):
@@ -120,6 +120,16 @@ def turning_constraint(x):
     return x[1] * math.cos(theta) - x[0] * math.sin(theta)
 
 
+# both constraint curves are graphs x_2 = phi(x_1): (phi, phi')
+GRAPHS = {
+    tanh_pair_system: (math.tanh, lambda s: 1.0 - math.tanh(s) ** 2),
+    turning_damper_system: (
+        lambda s: s * math.tan(0.3 + 0.5 * s),
+        lambda s: math.tan(0.3 + 0.5 * s) + 0.5 * s / math.cos(0.3 + 0.5 * s) ** 2,
+    ),
+}
+
+
 @pytest.mark.parametrize("make, curve", [
     (tanh_pair_system, lambda x: x[1] - math.tanh(x[0])),
     (turning_damper_system, turning_constraint),
@@ -127,16 +137,17 @@ def turning_constraint(x):
 def test_consistent_init_matches_slsqp_on_a_nonlinear_constraint(make, curve):
     guess = np.array([1.0, 0.0])
     x0, report = consistent_init(make(), guess)
-    ref = minimize(
-        lambda x: 0.5 * np.sum((x - guess) ** 2), guess, jac=lambda x: x - guess,
-        constraints={"type": "eq", "fun": curve}, method="SLSQP",
-        options={"ftol": 1e-15, "maxiter": 200},
-    )
-    assert ref.success
+    # the nearest point minimizes (x_1 - 1)^2 + phi(x_1)^2 over x_1 in [0, 2], where
+    # tan has no pole: the bracketed root of half its derivative, which rises
+    # through zero once there.  Comparing values instead stops near sqrt(eps).
+    phi, slope = GRAPHS[make]
+    ref = root_scalar(lambda s: s - 1.0 + phi(s) * slope(s), bracket=(0.0, 2.0), xtol=1e-15)
+    assert ref.converged
+    nearest = np.array([ref.root, phi(ref.root)])
     assert report.projected and report.converged
     assert abs(curve(x0)) <= 1e-10
-    assert np.max(np.abs(x0 - ref.x)) <= 1e-8
-    assert report.distance == pytest.approx(np.linalg.norm(ref.x - guess), abs=1e-8)
+    assert np.max(np.abs(x0 - nearest)) <= 1e-8
+    assert report.distance == pytest.approx(np.linalg.norm(nearest - guess), abs=1e-8)
 
 
 def test_consistent_init_rejects_non_finite_guess():
@@ -350,7 +361,7 @@ def test_every_affine_step_meets_the_newton_test(case, scheme):
     cfg = SchemeConfig(scheme=scheme, dt=1e-3)
     traj = simulate(sys_, x0, inputs, (0.0, 2.0), cfg)
     prescribed = np.where(effort_mask(sys_), traj.e_p, traj.f_p)
-    step = _AffineStep(sys_, sys_.ham.linear_gradient(), effort_mask(sys_), traj.dt, prescribed)
+    step = _StepMap(sys_, scheme == "discrete_gradient", effort_mask(sys_), traj.dt, prescribed)
     # z_k = (x_k, v_{k-1}) is step k-1's solution and step k's predictor
     z = np.hstack([traj.x, np.vstack([np.zeros(sys_.n - sys_.n_s), step_unknowns(sys_, traj)])])
     worst = 0.0
@@ -368,7 +379,7 @@ def stepwise_reference(sys_, x0, inputs, t1, cfg):
     signal = pk.PortSignal.coerce(inputs)
     prescribed = np.array([[signal.value(i, (k + 0.5) * dt) for i in range(sys_.n_p)]
                            for k in range(n_steps)]).reshape(n_steps, sys_.n_p)
-    step = _AffineStep(sys_, sys_.ham.linear_gradient(), effort_mask(sys_), dt, prescribed)
+    step = _StepMap(sys_, False, effort_mask(sys_), dt, prescribed)
     solver = _NewtonSolver(cfg)
     z = np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])
     x = [x0]
@@ -384,12 +395,13 @@ def test_steps_that_fail_the_certificate_are_newton_solved(monkeypatch, case):
     sys_, x0, inputs = affine_cases()[case]
     cfg = SchemeConfig(dt=1e-3)
     reference = stepwise_reference(sys_, np.asarray(x0, dtype=float), inputs, 0.5, cfg)
-    jacobian = _AffineStep.jacobian
+    factor = _NewtonSolver.factor
     # the factored K, and so the transition, is off by 1e-9: no step passes
     # the certificate, and each Newton fallback needs a second iteration
-    monkeypatch.setattr(_AffineStep, "jacobian", lambda self, z: jacobian(self, z) * (1.0 + 1e-9))
+    monkeypatch.setattr(_NewtonSolver, "factor", lambda self, jac: factor(self, jac * (1.0 + 1e-9)))
     traj = simulate(sys_, x0, inputs, (0.0, 0.5), cfg)
     assert traj.metadata["newton_iterations"] > traj.steps
+    assert traj.metadata["newton_solved_steps"] == traj.steps
     assert traj.metadata["jacobian_rebuilds"] == 1
     np.testing.assert_allclose(traj.x, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
 
@@ -430,8 +442,8 @@ def test_newton_step_jacobian_matches_central_differences(scheme):
     cells = grid["h"] * (np.arange(8) + 0.5)
     x0 = np.concatenate([0.1 * rng.standard_normal(9), 0.4 * np.sin(np.pi * cells)])
     effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _NewtonStep(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
-                       np.array([[0.3, -0.2]]))
+    step = _StepMap(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
+                    np.array([[0.3, -0.2]]))
     step.start(0, x0)
     z = np.concatenate([x0 + 0.05 * rng.standard_normal(x0.size),
                         rng.standard_normal(sys_.n - x0.size)])
@@ -454,14 +466,14 @@ def test_newton_step_jacobian_is_the_sparse_dense_assembly(scheme):
     x0 = np.concatenate([0.1 * rng.standard_normal(9),
                          0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
     effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _NewtonStep(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
-                       np.array([[0.3, -0.2]]))
+    step = _StepMap(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
+                    np.array([[0.3, -0.2]]))
     step.start(0, x0)
     x1 = x0 + 0.05 * rng.standard_normal(x0.size)
     jac = step.jacobian(np.concatenate([x1, rng.standard_normal(sys_.n - x0.size)]))
     assert scipy.sparse.issparse(jac) and jac.format == "csc"
     d = sys_.dirac
-    dense = np.hstack([-d.F_s / step.dt + d.G_s @ _fd_jacobian(step.gradient, x1),
+    dense = np.hstack([-d.F_s / step.dt + d.G_s @ step.gradient_jacobian(x1).toarray(),
                        _aux_block(sys_, effort_prescribed, 0.5 * (x0 + x1))])
     assert np.max(np.abs(jac.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
 
@@ -475,9 +487,9 @@ def test_sparse_condition_estimate_matches_dgecon():
     assert type(condition) is float
     # the first factorization happens at the predictor of step 0
     effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _NewtonStep(sys_, False, effort_prescribed, traj.dt,
-                       np.array([[inputs[1](0.5 * traj.dt) if i == 1 else 0.0
-                                  for i in range(sys_.n_p)]]))
+    step = _StepMap(sys_, False, effort_prescribed, traj.dt,
+                    np.array([[inputs[1](0.5 * traj.dt) if i == 1 else 0.0
+                               for i in range(sys_.n_p)]]))
     step.start(0, x0)
     dense = step.jacobian(np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])).toarray()
     rcond, _ = dgecon(scipy.linalg.lu_factor(dense)[0], np.linalg.norm(dense, 1))
@@ -495,23 +507,22 @@ def test_simulate_leaves_the_global_rng_alone():
 
 
 @pytest.mark.parametrize("defect", ["zero_row", "nan_entry"])
-@pytest.mark.parametrize("step_cls", [_AffineStep, _NewtonStep])
-def test_broken_step_jacobian_raises_newton_error(monkeypatch, step_cls, defect):
+@pytest.mark.parametrize("step_map", ["affine", "newton"])
+def test_broken_step_jacobian_raises_newton_error(monkeypatch, step_map, defect):
     damped = pk.damped_oscillator(1.0)
-    sys_ = damped if step_cls is _AffineStep else as_general(damped)
-    jacobian = step_cls.jacobian
+    sys_ = damped if step_map == "affine" else as_general(damped)
+    factor = _NewtonSolver.factor
 
-    def broken(self, z):
-        jac = jacobian(self, z)
+    def broken(self, jac):
         sparse = scipy.sparse.issparse(jac)
         dense = jac.toarray() if sparse else jac.copy()
         if defect == "zero_row":
             dense[1] = 0.0
         else:
             dense[0, 0] = math.nan
-        return scipy.sparse.csc_array(dense) if sparse else dense
+        return factor(self, scipy.sparse.csc_array(dense) if sparse else dense)
 
-    monkeypatch.setattr(step_cls, "jacobian", broken)
+    monkeypatch.setattr(_NewtonSolver, "factor", broken)
     with pytest.raises(pk.NewtonError) as err:
         simulate(sys_, [0.5, 0.5], None, (0.0, 0.01), SchemeConfig())
     assert err.value.step == 0
@@ -541,6 +552,21 @@ def test_affine_steps_take_one_newton_iteration(name, scheme):
     traj = simulate(sys_, [0.6, -0.8], inputs, (0.0, 5.0), SchemeConfig(scheme=scheme, dt=1e-3))
     assert traj.metadata["newton_iterations"] == traj.steps
     assert traj.metadata["jacobian_rebuilds"] == 1
+
+
+def test_no_osc_stepping_step_is_newton_solved():
+    # the two operations of perfbench's osc_stepping, at three draws of its
+    # seeded start angles and force phase: the certificate passes every step
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        (a, b), phase = rng.uniform(0.0, 2 * math.pi, 2), rng.uniform(0.0, 2 * math.pi)
+        damped = simulate(pk.damped_oscillator(), [math.cos(a), math.sin(a)], None, (0.0, 30.0),
+                          SchemeConfig(dt=1e-3))
+        forced = simulate(pk.forced_oscillator(), [math.cos(b), math.sin(b)],
+                          {0: lambda t: 0.3 * math.sin(2.0 * t + phase)}, (0.0, 10.0),
+                          SchemeConfig("discrete_gradient", 1e-3))
+        assert damped.steps == 30_000 and forced.steps == 10_000
+        assert damped.metadata["newton_solved_steps"] == forced.metadata["newton_solved_steps"] == 0
 
 
 def test_dg_forced_oscillator_near_moving_equilibrium():

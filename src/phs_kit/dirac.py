@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from ._linalg import EPS, as_matrix, subspace_bases
 from .errors import StructureError
@@ -314,6 +313,8 @@ def _sparse_gram_min(gram):
     The fixed start vector makes repeated calls agree.  None when the factor is
     exactly singular or the eigensolve does not converge.
     """
+    import scipy.sparse.linalg  # imported on use: small systems never load it
+
     try:
         lu = scipy.sparse.linalg.splu(gram)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"

@@ -17,10 +17,10 @@ from the energy's ``hessian`` (``_StepMap``).  With a constant Hessian
 (``hessian()`` not None) and a relation that is absent or linear and
 state-independent (``linear_maps()`` not None) the step map is affine:
 g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once with LAPACK's
-LU.  Its steps form a linear recurrence, advanced a block of steps at a time
-(``_StepMap.run``); Newton's own test certifies every step in batches, and a
-step that fails it, or is not finite, is Newton-solved from its predictor
-before the recurrence resumes.  A certified step counts as one Newton
+LU.  Its steps form a linear recurrence, advanced a chunk at a time by a
+prefix scan (``_StepMap.run``); Newton's own test certifies every step in
+batches, and a step that fails it, or is not finite, is Newton-solved from its
+predictor before the recurrence resumes.  A certified step counts as one Newton
 iteration.  Other systems apply the sparse view of the Dirac blocks and
 factor their CSC Jacobian with SuperLU, whose solves give the condition
 estimate through ``onenormest`` with t=1: no random vectors.
@@ -32,10 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgecon, dgetrs
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from ._linalg import EPS, _fd_jacobian, subspace_bases
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
@@ -50,11 +47,12 @@ __all__ = [
 ]
 
 SCHEMES = ("implicit_midpoint", "discrete_gradient")
-# Steps per certificate chunk of the affine recurrence.  Its temporaries are
-# O(_CHUNK n), not O(n_steps n); a chunk costs about 25 array calls whatever its
-# length, and a step that fails the certificate discards the rest of its chunk.
-_CHUNK = 128
-_BLOCK_ROWS = 32  # at most b n_s: the states one block of the recurrence advances
+# Chunks of the affine recurrence start at _CHUNK steps, double after a clean one
+# up to _CHUNK_CELLS // n steps (the bound on their temporaries) and halve after
+# a failed certificate.  A scan level costs L n_s^2 flops on L steps and halves
+# the L / 2^d window carries, array calls worth about _CALL_FLOPS flops each (one
+# BLAS thread): the scan stops at the depth d where 2^(d+1) n_s^2 exceeds it.
+_CHUNK, _CHUNK_CELLS, _CALL_FLOPS = 128, 1 << 16, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,11 @@ class _StepMap:
         L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s grad H(0).
         With y_k = (x_k; u_k; 1) and K S = [L, P, c], step k's exact solution
         is z_{k+1} = -S y_k: x_{k+1} = A x_k + w_k with (A, W) = -S_x and
-        w_k = W (u_k; 1).  A block of b steps is (x_{k+1}; ...; x_{k+b}) =
-        (A; ...; A^b) x_k + T (w_k; ...; w_{k+b-1}), with T lower block-Toeplitz,
-        T_ij = A^(i-j).  Each chunk of steps is then certified with the test of
-        ``_NewtonSolver.solve``, and its first failing step is Newton-solved.
+        w_k = W (u_k; 1).  A chunk from x_k folds A x_k into w_k and takes the
+        prefix scan x_{k+i+1} = sum_j A^(i-j) w_{k+j}: doubling levels (Hillis &
+        Steele 1986) to the depth d of ``_CALL_FLOPS``, then a carry across
+        windows of 2^d rows.  ``_NewtonSolver.solve``'s test certifies the
+        chunk; its first failing step is Newton-solved.
         """
         n_steps, n_s = len(self.prescribed), x.shape[1]
         if self.name == "newton":
@@ -211,34 +210,31 @@ class _StepMap:
             raise NewtonError("singular step Jacobian: the step transition is not finite", step=0)
         forcing_map, aux_map = minus_s[:n_s, n_s:].T, minus_s[n_s:].T
 
-        # a purely algebraic system (n_s = 0) has no state to advance
-        b = max(1, min(_BLOCK_ROWS // n_s, n_steps)) if n_s else 1
-        powers = [np.eye(n_s), minus_s[:n_s, :n_s]]
-        for _ in range(b - 1):
-            powers.append(powers[1] @ powers[-1])
-        powers = np.array(powers)
-        power_stack = powers[1:].reshape(b * n_s, n_s)
-        lag = np.subtract.outer(np.arange(b), np.arange(b))
-        toeplitz = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-        toeplitz_t = toeplitz.transpose(0, 2, 1, 3).reshape(b * n_s, b * n_s).T
-
+        squares = [minus_s[:n_s, :n_s].T]  # (A^T)^(2^j), extended as the chunks grow
+        depth = max(0, (_CALL_FLOPS // max(1, n_s * n_s)).bit_length() - 2)
+        cap, tol = max(1, _CHUNK_CELLS // self.sys.n), solver.cfg.newton_tol
         k_x, k_v, maps_t = k_mat[:, :n_s].T, k_mat[:, n_s:].T, maps.T
-        tol = solver.cfg.newton_tol
-        max_residual, k = 0.0, 0
+        max_residual, k, length = 0.0, 0, min(_CHUNK, cap)
         while k < n_steps:
-            end = min(k + _CHUNK, n_steps)
+            end = min(k + length, n_steps)
             y = np.empty((end - k, maps.shape[1]))
             y[:, n_s:-1] = self.prescribed[k:end]
             y[:, -1] = 1.0
             # a non-finite step fails its certificate and goes to Newton, which reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                w = np.zeros((-(-(end - k) // b) * b, n_s))
-                w[: end - k] = y[:, n_s:] @ forcing_map
-                forced = w.reshape(-1, b * n_s) @ toeplitz_t if b > 1 else w
-                for first, block in zip(range(k, end, b), forced):
-                    rows = min(b, end - first)
-                    x[first + 1 : first + 1 + rows] = (power_stack @ x[first] + block).reshape(
-                        b, n_s)[:rows]
+                xs = x[k + 1 : end + 1]
+                xs[:] = y[:, n_s:] @ forcing_map
+                xs[0] += x[k] @ squares[0]
+                # Hillis-Steele: after level j, row i sums its last 2^(j+1) terms
+                levels = min(depth, (end - k - 1).bit_length())
+                while len(squares) <= levels:
+                    squares.append(squares[-1] @ squares[-1])
+                for j in range(levels):
+                    xs[1 << j :] += xs[: -(1 << j)] @ squares[j]
+                # then carry the final row i - 2^levels into row i, a window at a time
+                w = 1 << levels
+                for first in range(w, end - k, w):
+                    xs[first : first + w] += xs[first - w : min(first, end - k - w)] @ squares[levels]
                 y[:, :n_s] = x[k:end]
                 v[k + 1 : end + 1] = y @ aux_map
                 # row j is K (x[k+j]; v[k+j]): step k+j-1's solution, step k+j's predictor
@@ -253,6 +249,7 @@ class _StepMap:
                 max_residual = max(max_residual, float(norm[:certified].max()))
             solver.iterations += certified
             k += certified
+            length = min(2 * length, cap) if k == end else max(1, length // 2)
             if k < end:
                 max_residual = max(max_residual, _solve_steps(self, solver, x, v, k, k + 1))
                 k += 1
@@ -293,6 +290,9 @@ class _NewtonSolver:
         self.rebuilds = self.iterations = self.solved_steps = 0
 
     def factor(self, jac):
+        import scipy.linalg  # imported on use, as is scipy.sparse.linalg: not at CLI start-up
+        from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
         sparse = scipy.sparse.issparse(jac)
         try:
             if sparse and not np.all(np.isfinite(jac.data)):
@@ -310,13 +310,13 @@ class _NewtonSolver:
             self.condition = float(scipy.sparse.linalg.norm(jac, 1) * onenormest(inverse, t=1))
         elif self.condition is None:
             # 1-norm estimate from the factors: O(n^2), where cond's SVD is O(n^3)
-            rcond, _ = dgecon(lu[0], np.linalg.norm(jac, 1))
+            rcond, _ = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(jac, 1))
             self.condition = 1.0 / rcond if rcond > 0 else math.inf
         self.rebuilds += 1
 
     def _getrs(self, r):
         # scipy.linalg.lu_solve without its per-call checks; r is checked finite first
-        dz, info = dgetrs(*self.lu, r)
+        dz, info = scipy.linalg.lapack.dgetrs(*self.lu, r)
         if info != 0:
             raise NewtonError(f"LU solve failed (LAPACK getrs info {info})")
         return dz
@@ -464,7 +464,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     event detection.  Every step must pass Newton's test: the 2-norm of its
     residual at most ``cfg.newton_tol`` (1 + the residual's norm at the
     predictor, the previous state and auxiliaries).  An affine step map
-    advances as a blocked linear recurrence and certifies its steps with that
+    advances as a scanned linear recurrence and certifies its steps with that
     test in batches; a step that fails it is Newton-solved (module docstring).
 
     The metadata records the step map ("affine" or "newton"), the Newton

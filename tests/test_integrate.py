@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dgecon
 from scipy.optimize import root_scalar
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
-from phs_kit.integrate import _NewtonSolver, _StepMap, _aux_block
+from phs_kit.integrate import _CHUNK, _CHUNK_CELLS, _NewtonSolver, _StepMap, _aux_block
 
 
 def closed_form_oscillator(t):
@@ -404,6 +406,66 @@ def test_steps_that_fail_the_certificate_are_newton_solved(monkeypatch, case):
     assert traj.metadata["newton_solved_steps"] == traj.steps
     assert traj.metadata["jacobian_rebuilds"] == 1
     np.testing.assert_allclose(traj.x, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+
+@st.composite
+def skew_quadratic_systems(draw):
+    """x' = J (H x + b) with J skew and H definite or indefinite, n_s = 2..4 (F = I, G = J)."""
+    n = draw(st.integers(2, 4))
+    negative = draw(arrays(bool, n))  # the signs of H's eigenvalues
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    # |JH| <= 0.01: modes grow or decay by at most e^3.3 over the 330 time units
+    # stepped, so the steps stay clear of their roundoff floor
+    j_mat = 0.01 * (a - a.T) / np.linalg.norm(a - a.T, 2)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    h_mat = basis @ np.diag(np.where(negative, -1.0, 1.0) * rng.uniform(0.25, 1.0, n)) @ basis.T
+    h_mat = 0.5 * (h_mat + h_mat.T)
+    b, x0 = 0.2 * rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    sys_ = pk.assemble(pk.DiracKernelRep(F=np.eye(n), G=j_mat, n_s=n),
+                       pk.QuadraticHamiltonian(H=h_mat, b=b), None, ())
+    return sys_, j_mat, h_mat, b, x0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(skew_quadratic_systems())
+def test_scanned_recurrence_matches_stepwise_steps(case):
+    sys_, j_mat, h_mat, b, x0 = case
+    n, dt, n_steps = x0.size, 1e-2, 33_000
+    cap, steps_to_cap, length = _CHUNK_CELLS // n, 0, _CHUNK
+    while length < cap:
+        steps_to_cap, length = steps_to_cap + length, 2 * length
+    assert steps_to_cap < n_steps  # the last chunks have the capped length
+    cfg = SchemeConfig(dt=dt)
+    traj = simulate(sys_, x0, None, (0.0, n_steps * dt), cfg)
+    assert traj.metadata["step_map"] == "affine" and traj.steps == n_steps
+    # the certificate takes nearly every scanned step: a broken scan fails most
+    assert traj.metadata["newton_solved_steps"] <= n_steps // 1000
+    x = traj.x
+    # Newton's test on every step: r at the step's solution, r0 at its predictor x_k
+    r = sys_.dirac.residual(-(x[1:] - x[:-1]) / dt, 0.5 * (x[1:] + x[:-1]) @ h_mat + b)
+    r0 = sys_.dirac.residual(np.zeros_like(x[:-1]), x[:-1] @ h_mat + b)
+    assert np.all(np.linalg.norm(r, axis=1) <= cfg.newton_tol * (1.0 + np.linalg.norm(r0, axis=1)))
+    # stepwise reference x_{k+1} = A x_k + w from (I - dt/2 JH) x_{k+1} = (I + dt/2 JH) x_k + dt J b
+    jh = 0.5 * dt * j_mat @ h_mat
+    a_mat = np.linalg.solve(np.eye(n) - jh, np.eye(n) + jh)
+    w = np.linalg.solve(np.eye(n) - jh, dt * j_mat @ b)
+    ref = np.empty_like(x)
+    ref[0] = x0
+    for k in range(n_steps):
+        ref[k + 1] = a_mat @ ref[k] + w
+    np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_undamped_oscillator_keeps_energy_and_phase_over_long_chunks(oscillator):
+    # |lambda| = 1, and the chunks grow to 8192 steps: the scan's squares reach (A^T)^4096
+    traj = simulate(oscillator, [1.0, 0.0], None, (0.0, 20.0), SchemeConfig(dt=1e-3))
+    assert traj.steps == 20_000 and traj.metadata["newton_solved_steps"] == 0
+    assert pk.energy_report(oscillator, traj).max_abs_gap <= 1e-15
+    # implicit midpoint turns the exact rotation by 2 atan(dt / 2) per step
+    phase = 2.0 * np.arctan(0.5 * traj.dt) * np.arange(traj.steps + 1)
+    np.testing.assert_allclose(traj.x, np.stack([np.cos(phase), -np.sin(phase)], axis=1),
+                               rtol=0, atol=5e-12)
 
 
 def test_newton_tol_below_the_roundoff_floor_stalls(damped):

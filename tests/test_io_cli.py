@@ -114,7 +114,8 @@ def test_callable_force_string_refuses_save(tmp_path):
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     code = ("import phs_kit.cli, sys; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+            "'scipy.sparse.linalg') if m in sys.modules])")
     src = str(Path(pk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

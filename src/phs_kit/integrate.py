@@ -47,11 +47,10 @@ __all__ = [
 ]
 
 SCHEMES = ("implicit_midpoint", "discrete_gradient")
-# Chunks of the affine recurrence start at _CHUNK steps, double after a clean one
-# up to _CHUNK_CELLS // n steps (the bound on their temporaries) and halve after
-# a failed certificate.  A scan level costs L n_s^2 flops on L steps and halves
-# the L / 2^d window carries, array calls worth about _CALL_FLOPS flops each (one
-# BLAS thread): the scan stops at the depth d where 2^(d+1) n_s^2 exceeds it.
+# Affine chunks start at _CHUNK steps, double after a clean one up to
+# _CHUNK_CELLS // n steps and halve after a failure.  A scan level costs L n_s^2
+# flops on L steps and halves the L / 2^d window carries, calls worth about
+# _CALL_FLOPS flops each (one BLAS thread): depth d is the largest with 2^(d+1) n_s^2 <= it.
 _CHUNK, _CHUNK_CELLS, _CALL_FLOPS = 128, 1 << 16, 1 << 16
 
 
@@ -185,8 +184,8 @@ class _StepMap:
         is z_{k+1} = -S y_k: x_{k+1} = A x_k + w_k with (A, W) = -S_x and
         w_k = W (u_k; 1).  A chunk from x_k folds A x_k into w_k and takes the
         prefix scan x_{k+i+1} = sum_j A^(i-j) w_{k+j}: doubling levels (Hillis &
-        Steele 1986) to the depth d of ``_CALL_FLOPS``, then a carry across
-        windows of 2^d rows.  ``_NewtonSolver.solve``'s test certifies the
+        Steele 1986) to the depth d that ``_CALL_FLOPS`` sets, then a carry
+        across windows of 2^d rows.  ``_NewtonSolver.solve``'s test certifies the
         chunk; its first failing step is Newton-solved.
         """
         n_steps, n_s = len(self.prescribed), x.shape[1]
@@ -225,8 +224,10 @@ class _StepMap:
                 xs = x[k + 1 : end + 1]
                 xs[:] = y[:, n_s:] @ forcing_map
                 xs[0] += x[k] @ squares[0]
-                # Hillis-Steele: after level j, row i sums its last 2^(j+1) terms
-                levels = min(depth, (end - k - 1).bit_length())
+                # Hillis-Steele: after level j, row i sums its last 2^(j+1) terms.  A chunk
+                # shrunk by a failure steps row by row (d = 0): scanned rows come from
+                # separate rounding chains, and more of them fail at the roundoff floor
+                levels = min(depth, (end - k - 1).bit_length()) if length >= min(_CHUNK, cap) else 0
                 while len(squares) <= levels:
                     squares.append(squares[-1] @ squares[-1])
                 for j in range(levels):
@@ -245,8 +246,7 @@ class _StepMap:
                 norm0 = np.sqrt(np.einsum("ij,ij->i", r0, r0))
                 failed = np.flatnonzero(~((norm <= tol * (1.0 + norm0)) & np.isfinite(norm)))
             certified = int(failed[0]) if failed.size else end - k
-            if certified:
-                max_residual = max(max_residual, float(norm[:certified].max()))
+            max_residual = max(max_residual, float(norm[:certified].max(initial=0.0)))
             solver.iterations += certified
             k += certified
             length = min(2 * length, cap) if k == end else max(1, length // 2)

@@ -1,6 +1,7 @@
-"""Small shared linear-algebra helpers (numerical rank, subspaces, a difference Jacobian)."""
+"""Small shared linear-algebra helpers (dense views, numerical rank, subspaces, a difference Jacobian)."""
 
 import numpy as np
+import scipy.sparse
 
 EPS = np.finfo(float).eps
 
@@ -11,6 +12,25 @@ def as_matrix(a, name="matrix"):
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     return m
+
+
+def dense(a):
+    """``a`` as a dense array: a sparse array is densified, anything else returned as is.
+
+    The one way a reader that needs dense Dirac blocks (an SVD, a LAPACK
+    factorization, a small validation) gets them from a sparse structure.
+    """
+    return a.toarray() if scipy.sparse.issparse(a) else a
+
+
+def csr_from_coo(shape, rows, cols, values):
+    """The CSR array with ``values`` at (``rows``, ``cols``); entries at one position add up.
+
+    Its indices are int32, as in the CSR array scipy builds from a dense one.
+    """
+    index = np.int32 if max(*shape, len(values)) < 2**31 else np.int64
+    rows, cols = np.asarray(rows, dtype=index), np.asarray(cols, dtype=index)
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=shape).tocsr()
 
 
 def subspace_bases(m):

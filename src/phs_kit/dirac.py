@@ -9,11 +9,16 @@ Two concrete representations are supported: the kernel form ker[F, G] and the
 image form im[K; L].  A structure in kernel form is valid iff rank [F, G] = n
 and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
 
+A kernel form keeps F and G as given: dense arrays, or scipy.sparse arrays
+(stored as CSR), which is how the discretizers build them.  Its CSR view is
+the form every product with bond data uses; the few readers that need dense
+blocks (the SVDs, small validations) densify them with ``_linalg.dense``.
+
 Validation decides both conditions from n x n products, never from an SVD of
 [F, G]: the skew defect from F G^T, the rank from the smallest eigenvalue of
 the Gram matrix F F^T + G G^T.  Below ``SPARSE_MIN_N`` bonds, or for blocks
 that are not sparse, the products and the eigenvalues are dense; otherwise they
-use the cached CSR view of F and G, SuperLU and shift-invert Lanczos.
+use the CSR view of F and G, SuperLU and shift-invert Lanczos.
 """
 
 import math
@@ -23,7 +28,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from ._linalg import EPS, as_matrix, subspace_bases
+from ._linalg import EPS, as_matrix, dense, subspace_bases
 from .errors import StructureError
 
 __all__ = [
@@ -82,12 +87,20 @@ class BondVector:
         return np.concatenate([self.f, self.e])
 
 
+def _stored_block(a, name):
+    """A sparse block as a float CSR array, anything else as a dense 2-D float array."""
+    if scipy.sparse.issparse(a):
+        return scipy.sparse.csr_array(a, dtype=float)
+    return as_matrix(a, name)
+
+
 @dataclass(frozen=True)
 class DiracKernelRep:
     """Kernel representation D = ker[F, G] with column blocks [s | r | p].
 
-    F and G are n x n; the first n_s columns act on the state flow / co-energy
-    pair, the next n_r on the resistive pair, the last n_p on the port pair.
+    F and G are n x n, dense or sparse (kept as CSR); the first n_s columns act
+    on the state flow / co-energy pair, the next n_r on the resistive pair, the
+    last n_p on the port pair.  The block properties slice the stored form.
     """
 
     F: np.ndarray
@@ -97,8 +110,8 @@ class DiracKernelRep:
     n_p: int = 0
 
     def __post_init__(self):
-        F = as_matrix(self.F, "F")
-        G = as_matrix(self.G, "G")
+        F = _stored_block(self.F, "F")
+        G = _stored_block(self.G, "G")
         if F.shape != G.shape or F.shape[0] != F.shape[1]:
             raise StructureError(f"F and G must be square with equal shape, got {F.shape}, {G.shape}")
         _check_partition(F.shape[0], self.n_s, self.n_r, self.n_p)
@@ -111,8 +124,8 @@ class DiracKernelRep:
 
     @cached_property
     def csr(self):
-        """(F, G) as scipy.sparse CSR arrays, built on first use; F and G stay the stored form."""
-        return scipy.sparse.csr_array(self.F), scipy.sparse.csr_array(self.G)
+        """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use."""
+        return tuple(b if scipy.sparse.issparse(b) else scipy.sparse.csr_array(b) for b in (self.F, self.G))
 
     def residual(self, f, e):
         """F f + G e through the CSR view: zero iff the bond vector (f, e) lies in ker[F, G].
@@ -265,14 +278,13 @@ def validate_kernel(rep, tol=1e-10):
     if not tol > 0:
         raise StructureError("tol must be positive")
     n = rep.n
-    sparse = (n >= SPARSE_MIN_N
-              and np.count_nonzero(rep.F) + np.count_nonzero(rep.G) <= SPARSE_MAX_ROW_NNZ * n)
+    sparse = n >= SPARSE_MIN_N and sum(block.nnz for block in rep.csr) <= SPARSE_MAX_ROW_NNZ * n
     if sparse:
         f, g = rep.csr
         longest = (np.diff(f.indptr) + np.diff(g.indptr)).max()
         gram = f @ f.T + g @ g.T
     else:
-        f, g = rep.F, rep.G
+        f, g = dense(rep.F), dense(rep.G)
         stacked = np.concatenate((f, g), axis=1)
         longest = (stacked != 0).sum(axis=1).max()
         gram = stacked @ stacked.T
@@ -338,7 +350,7 @@ def pairing(d1, d2):
 
 def kernel_to_image(rep):
     """Convert ker[F, G] to the image form im[G^T; F^T] (same subspace)."""
-    return DiracImageRep(K=rep.G.T, L=rep.F.T, n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
+    return DiracImageRep(K=dense(rep.G).T, L=dense(rep.F).T, n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
 
 
 def image_to_kernel(rep):
@@ -348,7 +360,7 @@ def image_to_kernel(rep):
 
 def _kernel_basis_2n(rep):
     """Orthonormal basis (2n x n) of ker[F, G] for a validated representation."""
-    return subspace_bases(np.hstack([rep.F, rep.G]))[1]
+    return subspace_bases(np.hstack([dense(rep.F), dense(rep.G)]))[1]
 
 
 def distance_to_structure(rep, d):
@@ -377,7 +389,7 @@ def substructure_D0(rep):
     n = rep.n
     selector = np.zeros((rep.n_s, 2 * n))
     selector[:, n : n + rep.n_s] = np.eye(rep.n_s)
-    stacked = np.vstack([np.hstack([rep.F, rep.G]), selector])
+    stacked = np.vstack([np.hstack([dense(rep.F), dense(rep.G)]), selector])
     return subspace_bases(stacked)[1]
 
 
@@ -390,7 +402,7 @@ def extrapolation_split(rep_or_matrix):
     mutually annihilating and sum to the identity.
     """
     if isinstance(rep_or_matrix, DiracKernelRep):
-        f_s = rep_or_matrix.F_s
+        f_s = dense(rep_or_matrix.F_s)
     else:
         f_s = as_matrix(rep_or_matrix, "F_s")
     coenergy, kernel = subspace_bases(f_s)

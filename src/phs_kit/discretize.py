@@ -4,6 +4,8 @@ Both generators build kernel representations whose skew-compatibility holds in
 exact arithmetic (summation by parts on staggered grids), so the Dirac
 conditions are met to roundoff for every resolution, and the discrete power
 balance grad H(x)·xdot = <f_R, e_R> + <f_P, e_P> is an algebraic identity.
+F and G are assembled from index arrays as sparse CSR arrays: no n x n dense
+array is formed at any resolution.
 """
 
 import math
@@ -13,7 +15,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 import scipy.sparse
 
-from ._linalg import EPS
+from ._linalg import EPS, csr_from_coo
 from .dirac import DiracKernelRep
 from .energy import GeneralHamiltonian, LinearGraph, QuadraticHamiltonian
 from .errors import StructureError
@@ -199,7 +201,7 @@ class StringHamiltonian(GeneralHamiltonian):
     def check_structure(self, dirac):
         """StructureError unless the 4N coupling entries of ``dirac.G`` are this interval's 1/h."""
         rows, cols, signs = _strain_coupling(self.spec.N)
-        carried = signs * dirac.G[rows, cols]
+        carried = signs * dirac.csr[1][rows, cols]
         worst = carried[np.argmax(np.abs(carried * self.h - 1.0))]
         if not abs(worst * self.h - 1.0) <= 1e-12:
             raise StructureError(f"the string's interval {list(self.spec.interval)} gives "
@@ -239,19 +241,17 @@ def string_system(spec, causality=("effort", "effort")):
     n = n_s + 2
     h = grid["h"]
 
-    f_mat = np.zeros((n, n))
-    g_mat = np.zeros((n, n))
-    f_mat[:n_s, :n_s] = np.eye(n_s)
-    f_mat[0, n_s] = 1.0        # left boundary tension enters the first momentum row
-    f_mat[n_v - 1, n_s + 1] = 1.0
+    # identity on the states; the boundary tensions enter the end momentum rows
+    diagonal = np.arange(n_s)
+    f_mat = csr_from_coo((n, n), np.r_[diagonal, 0, n_v - 1], np.r_[diagonal, n_s, n_s + 1],
+                         np.ones(n_s + 2))
 
-    # momentum rows: tension differences / h; strain rows: velocity differences / h
+    # momentum rows: tension differences / h; strain rows: velocity differences / h;
+    # port effort rows: e_P = boundary velocities
     rows, cols, signs = _strain_coupling(n_e)
-    g_mat[rows, cols] = signs / h
-    g_mat[n_s, n_s] = 1.0      # port effort rows: e_P = boundary velocities
-    g_mat[n_s, 0] = -1.0
-    g_mat[n_s + 1, n_s + 1] = 1.0
-    g_mat[n_s + 1, n_v - 1] = -1.0
+    g_mat = csr_from_coo((n, n), np.r_[rows, n_s, n_s, n_s + 1, n_s + 1],
+                         np.r_[cols, n_s, 0, n_s + 1, n_v - 1],
+                         np.r_[signs / h, 1.0, -1.0, 1.0, -1.0])
 
     dirac = DiracKernelRep(F=f_mat, G=g_mat, n_s=n_s, n_r=0, n_p=2)
     ham = StringHamiltonian(spec, grid)
@@ -309,18 +309,17 @@ def diffusion_system(spec, causality=("effort", "effort")):
     n = n_c + n_f + 2
     h = grid["h"]
 
-    f_mat = np.eye(n)
-    g_mat = np.zeros((n, n))
     inv_h2 = 1.0 / (h * h)
     j = np.arange(n_f)
-    g_mat[j, n_c + j] = -inv_h2        # cell rows: flux divergence
-    g_mat[j + 1, n_c + j] = inv_h2
-    g_mat[0, n_c + n_f] = 1.0 / h       # inward boundary fluxes
-    g_mat[n_c - 1, n_c + n_f + 1] = 1.0 / h
-    g_mat[n_c + j, j] = inv_h2         # face rows: f_R = state difference quotient
-    g_mat[n_c + j, j + 1] = -inv_h2
-    g_mat[n_c + n_f, 0] = -1.0 / h      # trace rows: f_P = nearest cell value
-    g_mat[n_c + n_f + 1, n_c - 1] = -1.0 / h
+    ones = np.ones(n_f)
+    # cell rows: flux divergence, then the inward boundary fluxes; face rows:
+    # f_R = state difference quotient; trace rows: f_P = nearest cell value
+    g_mat = csr_from_coo((n, n),
+                         np.r_[j, j + 1, 0, n_c - 1, n_c + j, n_c + j, n_c + n_f, n_c + n_f + 1],
+                         np.r_[n_c + j, n_c + j, n_c + n_f, n_c + n_f + 1, j, j + 1, 0, n_c - 1],
+                         np.r_[-inv_h2 * ones, inv_h2 * ones, 1.0 / h, 1.0 / h,
+                               inv_h2 * ones, -inv_h2 * ones, -1.0 / h, -1.0 / h])
+    f_mat = scipy.sparse.eye_array(n, format="csr")
 
     dirac = DiracKernelRep(F=f_mat, G=g_mat, n_s=n_c, n_r=n_f, n_p=2)
     ham = QuadraticHamiltonian(H=h * np.eye(n_c))

@@ -1,9 +1,13 @@
 """System (JSON) and trajectory (CSV) file formats.
 
 SystemFileV1: a JSON document with the dimensions, the kernel-representation
-matrices in row-major order, the Hamiltonian (its own ``to_dict``: inline
-quadratic data, or the "builtin" string energy's parameters), the resistive
-relation, the per-channel causality and free-form metadata.
+matrices, the Hamiltonian (its own ``to_dict``: inline quadratic data, or the
+"builtin" string energy's parameters), the resistive relation, the per-channel
+causality and free-form metadata.  Matrices are row-major lists of rows,
+except a sparse F or G (the discretizers' form): COO triplets
+``{"shape": [n, n], "row": [...], "col": [...], "data": [...]}`` in CSR order,
+read back into the same CSR array.  F and G read in either form; floats are
+written as their shortest repr, so both forms round-trip bit-identically.
 
 TrajectoryFileV1: CSV with header ``t,x_0..,fR_0..,eR_0..,fP_0..,eP_0..``
 and one row per grid node; channel columns carry the preceding interval's
@@ -19,7 +23,9 @@ import re
 from collections import Counter
 
 import numpy as np
+import scipy.sparse
 
+from ._linalg import csr_from_coo
 from .dirac import DiracKernelRep
 from .discretize import StringHamiltonian
 from .energy import LinearGraph, Parametric, QuadraticHamiltonian
@@ -45,6 +51,34 @@ class FileFormatError(ValueError):
     """Malformed or unsupported system/trajectory file."""
 
 
+def _matrix_doc(m):
+    """A matrix's file form: COO triplets for a sparse array, else a list of rows."""
+    if not scipy.sparse.issparse(m):
+        return m.tolist()
+    coo = m.tocoo()
+    return {"shape": list(coo.shape), "row": coo.row.tolist(), "col": coo.col.tolist(),
+            "data": coo.data.tolist()}
+
+
+def _sparse_matrix(doc, name):
+    """The CSR array of a COO-triplet document; FileFormatError unless it is well formed."""
+    try:
+        shape, row, col = doc["shape"], np.asarray(doc["row"]), np.asarray(doc["col"])
+        data = np.asarray(doc["data"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"field {name!r} is not a COO triplet matrix: {exc}") from exc
+    if not isinstance(shape, list) or len(shape) != 2:
+        raise FileFormatError(f"{name}.shape must be a list of two whole numbers")
+    shape = tuple(_whole(size, f"{name}.shape") for size in shape)
+    if not row.ndim == col.ndim == data.ndim == 1 or not row.size == col.size == data.size:
+        raise FileFormatError(f"{name}.row, .col and .data must be flat lists of one length")
+    if data.size and not (row.dtype.kind == col.dtype.kind == "i"
+                          and 0 <= min(row.min(), col.min())
+                          and row.max() < shape[0] and col.max() < shape[1]):
+        raise FileFormatError(f"{name}.row and .col must be whole numbers inside the shape {list(shape)}")
+    return csr_from_coo(shape, row, col, data)
+
+
 def _matrix(data, name):
     try:
         m = np.asarray(data, dtype=float)
@@ -55,12 +89,11 @@ def _matrix(data, name):
     return m
 
 
-def _dimension(doc, key, where="dims"):
+def _whole(value, label):
     """A dimension must be a JSON whole number: int() alone would truncate 2.7."""
-    value = doc[key]
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
-        raise FileFormatError(f"{where}.{key} must be a whole number, got {value!r}")
+        raise FileFormatError(f"{label} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -76,8 +109,8 @@ def system_to_dict(sys, metadata=None):
     return {
         "version": SYSTEM_FILE_VERSION,
         "dims": {"n_s": sys.n_s, "n_r": sys.n_r, "n_p": sys.n_p},
-        "F": sys.dirac.F.tolist(),
-        "G": sys.dirac.G.tolist(),
+        "F": _matrix_doc(sys.dirac.F),
+        "G": _matrix_doc(sys.dirac.G),
         "hamiltonian": dict(ham_doc),
         "resistive": res_doc,
         "causality": list(sys.causality),
@@ -104,9 +137,10 @@ def parse_system_dict(doc):
         raise FileFormatError(f"unsupported system file version {doc.get('version')!r}")
     try:
         dims = doc["dims"]
-        n_s, n_r, n_p = (_dimension(dims, key) for key in ("n_s", "n_r", "n_p"))
-        dirac = DiracKernelRep(F=_matrix(doc["F"], "F"), G=_matrix(doc["G"], "G"),
-                               n_s=n_s, n_r=n_r, n_p=n_p)
+        n_s, n_r, n_p = (_whole(dims[key], f"dims.{key}") for key in ("n_s", "n_r", "n_p"))
+        F, G = (_sparse_matrix(doc[key], key) if isinstance(doc[key], dict) else _matrix(doc[key], key)
+                for key in ("F", "G"))
+        dirac = DiracKernelRep(F=F, G=G, n_s=n_s, n_r=n_r, n_p=n_p)
         ham_doc = doc["hamiltonian"]
         ham_type = ham_doc.get("type") if isinstance(ham_doc, dict) else None
         if ham_type == "quadratic":
@@ -121,7 +155,7 @@ def parse_system_dict(doc):
                 raise FileFormatError("hamiltonian.params must be a JSON object")
             if ham_doc["name"] != "string":
                 raise FileFormatError(f"unknown builtin Hamiltonian {ham_doc['name']!r}")
-            n_cells = _dimension(params, "N", "hamiltonian.params")
+            n_cells = _whole(params["N"], "hamiltonian.params.N")
             if 2 * n_cells + 1 != n_s:
                 raise FileFormatError(f"a string of N = {n_cells} cells has n_s = "
                                       f"{2 * n_cells + 1} states, but dims.n_s = {n_s}")

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 
-from ._linalg import EPS, _fd_jacobian, subspace_bases
+from ._linalg import EPS, _fd_jacobian, dense, subspace_bases
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory
@@ -116,12 +116,14 @@ def _aux_block(sys, effort_prescribed, x):
     """C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)]: the exact map v -> residual.
 
     (A, B) = ``res.at(x).linear_maps()`` and D_m masks the effort-prescribed
-    channels, whose free half is the flow.
+    channels, whose free half is the flow.  C is dense, n x n_aux, and so are
+    the blocks it is formed from.
     """
-    d = sys.dirac
+    f_r, g_r, f_p, g_p = (dense(block) for block in (sys.dirac.F_r, sys.dirac.G_r,
+                                                     sys.dirac.F_p, sys.dirac.G_p))
     a, b = (np.zeros((0, 0)),) * 2 if sys.res is None else sys.res.at(x).linear_maps()
     m = effort_prescribed.astype(float)
-    return np.hstack([d.F_r @ a + d.G_r @ b, d.F_p * m + d.G_p * (1.0 - m)])
+    return np.hstack([f_r @ a + g_r @ b, f_p * m + g_p * (1.0 - m)])
 
 
 class _StepMap:
@@ -192,12 +194,14 @@ class _StepMap:
         if self.name == "newton":
             return _solve_steps(self, solver, x, v, 0, n_steps)
         d, m = self.sys.dirac, self.effort_prescribed.astype(float)
-        half_gh = 0.5 * (d.G_s @ self.hessian)
+        # K is factored with LAPACK: its blocks are read dense
+        f_s, g_s, f_p, g_p = (dense(block) for block in (d.F_s, d.G_s, d.F_p, d.G_p))
+        half_gh = 0.5 * (g_s @ self.hessian)
         # the relation does not depend on the state, so any state resolves it
-        k_mat = np.hstack([-d.F_s / self.dt + half_gh,
+        k_mat = np.hstack([-f_s / self.dt + half_gh,
                            _aux_block(self.sys, self.effort_prescribed, None)])
-        maps = np.hstack([d.F_s / self.dt + half_gh, d.F_p * (1.0 - m) + d.G_p * m,
-                          (d.G_s @ self.sys.ham.gradient(np.zeros(n_s)))[:, None]])
+        maps = np.hstack([f_s / self.dt + half_gh, f_p * (1.0 - m) + g_p * m,
+                          (g_s @ self.sys.ham.gradient(np.zeros(n_s)))[:, None]])
         try:
             # K is factored once: condition estimate, singular and non-finite checks
             solver.factor(k_mat)
@@ -397,7 +401,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     inputs = PortSignal.coerce(inputs)
     inputs.validate_channels(sys)
     d = sys.dirac
-    w = subspace_bases(d.F_s.T)[1]
+    w = subspace_bases(dense(d.F_s).T)[1]
     m = w.shape[1]
     if m == 0:
         return x_guess.copy(), ConsistencyReport(0.0, 0, 0.0, 0.0, False, True)

@@ -20,6 +20,27 @@ __all__ = [
 ]
 
 CAUSALITIES = ("effort", "flow")
+# The audits walk a trajectory in blocks of time rows, and every temporary of
+# a block holds at most _BLOCK_CELLS floats (as integrate._CHUNK_CELLS bounds an
+# affine chunk): a trajectory-sized temporary gets fresh pages from the kernel
+# on every call, a block-sized one reuses the allocator's.
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(rows, width):
+    """Slices covering range(rows) in order, each of at most max(1, _BLOCK_CELLS // width) rows.
+
+    Their lengths differ by at most one, so a lone row is a block of its own
+    only where the width allows no more.
+    """
+    count = -(-rows // max(1, _BLOCK_CELLS // max(1, width)))
+    bounds = [rows * i // max(1, count) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _abs_max(a):
+    """max |a| with no |a| temporary, bit for bit np.max(np.abs(a)) (+ 0.0 turns -0.0 into 0.0)."""
+    return float(max(a.max(), -a.min())) + 0.0
 
 
 @dataclass(frozen=True)
@@ -243,11 +264,7 @@ class Trajectory:
 
     def channel_magnitude(self):
         """Largest absolute sample over all stored channels (for normalization)."""
-        mags = [np.max(np.abs(self.x))]
-        for a in (self.f_r, self.e_r, self.f_p, self.e_p):
-            if a.size:
-                mags.append(np.max(np.abs(a)))
-        return float(max(mags))
+        return max(_abs_max(a) for a in (self.x, self.f_r, self.e_r, self.f_p, self.e_p) if a.size)
 
     def check_shapes(self, sys):
         """Raise StructureError if the sample widths do not match the system."""

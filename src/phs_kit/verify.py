@@ -9,6 +9,11 @@ piecewise constant.  Residuals are reported per unit test-function mass (each
 hat integrates to dt) and divided by (1 + max channel magnitude), which makes
 the tolerance scale-free and the report second-order small for trajectories
 produced by the integrator.
+
+The weak, energy and pointwise audits walk the trajectory in blocks of time
+rows (``system._row_blocks``) and write each block's rows into tables
+allocated once, so no temporary grows with the trajectory; a row's value does
+not depend on the block it falls in.
 """
 
 import math
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .system import Trajectory, _inclusion_defects
+from .system import Trajectory, _abs_max, _inclusion_defects, _row_blocks
 
 __all__ = [
     "WeakReport",
@@ -79,26 +84,26 @@ def weak_residual(sys, traj):
     if traj.steps < 2:
         raise StructureError("weak residual needs at least two steps (one interior node)")
     half_dt = 0.5 * traj.dt
-    x = traj.x
-
-    # gradients at the two Gauss points of every interval, weighted by the hat
-    # rising over it (next node's hat) and falling over it (this node's hat)
-    grad_lo = sys.ham.gradient((1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:])
-    grad_hi = sys.ham.gradient((1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:])
-    rising = _GAUSS_LO * grad_lo + _GAUSS_HI * grad_hi
-    falling = (1.0 - _GAUSS_LO) * grad_lo + (1.0 - _GAUSS_HI) * grad_hi
-    x_mid = 0.5 * (x[:-1] + x[1:])
-
-    def tested(c):
-        return half_dt * (c[:-1] + c[1:]).T
-
-    # bond rows stored column-major, which the sparse products read in place
-    raw = sys.dirac.residual(
-        np.vstack([(x_mid[:-1] - x_mid[1:]).T, tested(traj.f_r), tested(traj.f_p)]).T,
-        np.vstack([half_dt * (rising[:-1] + falling[1:]).T, tested(traj.e_r), tested(traj.e_p)]).T)
-
     normalization = 1.0 + traj.channel_magnitude()
-    residuals = np.abs(raw) / (traj.dt * normalization)
+    residuals = np.empty((traj.steps - 1, sys.n))
+    for rows in _row_blocks(traj.steps - 1, sys.n):
+        lo, hi = rows.start, rows.stop
+        x = traj.x[lo : hi + 2]  # the nodes of intervals lo..hi, which the hats of these rows span
+
+        # gradients at the two Gauss points of every interval, weighted by the hat
+        # rising over it (next node's hat) and falling over it (this node's hat)
+        grad_lo = sys.ham.gradient((1.0 - _GAUSS_LO) * x[:-1] + _GAUSS_LO * x[1:])
+        grad_hi = sys.ham.gradient((1.0 - _GAUSS_HI) * x[:-1] + _GAUSS_HI * x[1:])
+        rising = _GAUSS_LO * grad_lo + _GAUSS_HI * grad_hi
+        falling = (1.0 - _GAUSS_LO) * grad_lo + (1.0 - _GAUSS_HI) * grad_hi
+        x_mid = 0.5 * (x[:-1] + x[1:])
+        f_r, e_r, f_p, e_p = (half_dt * (c[lo:hi] + c[lo + 1 : hi + 1]).T
+                              for c in (traj.f_r, traj.e_r, traj.f_p, traj.e_p))
+
+        # bond rows stored column-major, which the sparse products read in place
+        raw = sys.dirac.residual(np.vstack([(x_mid[:-1] - x_mid[1:]).T, f_r, f_p]).T,
+                                 np.vstack([half_dt * (rising[:-1] + falling[1:]).T, e_r, e_p]).T)
+        np.divide(np.abs(raw), traj.dt * normalization, out=residuals[rows])
     return WeakReport(
         max_residual=float(residuals.max()),
         residuals=residuals,
@@ -156,13 +161,21 @@ def energy_report(sys, traj):
     error for an energy that is not a polynomial of degree <= 12.
     """
     traj.check_shapes(sys)
-    h = sys.ham.value(traj.x)
-    dh = np.diff(h)
     dt = traj.dt
-    dissipated = dt * np.einsum("ij,ij->i", traj.f_r, traj.e_r) if sys.n_r else np.zeros(traj.steps)
-    supplied = dt * np.einsum("ij,ij->i", traj.f_p, traj.e_p) if sys.n_p else np.zeros(traj.steps)
-    gap = dh - dissipated - supplied
-    ineq = dh - supplied
+    h = np.empty(traj.steps + 1)
+    for rows in _row_blocks(traj.steps + 1, sys.n_s):
+        h[rows] = sys.ham.value(traj.x[rows])
+    dh, dissipated, supplied, gap = np.zeros((4, traj.steps))
+    np.subtract(h[1:], h[:-1], out=dh)
+    ineq = []  # the largest dH - supplied of each block
+    for rows in _row_blocks(traj.steps, sys.n_r + sys.n_p):
+        if sys.n_r:
+            dissipated[rows] = dt * np.einsum("ij,ij->i", traj.f_r[rows], traj.e_r[rows])
+        if sys.n_p:
+            supplied[rows] = dt * np.einsum("ij,ij->i", traj.f_p[rows], traj.e_p[rows])
+        np.subtract(dh[rows], dissipated[rows], out=gap[rows])
+        gap[rows] -= supplied[rows]
+        ineq.append(np.max(dh[rows] - supplied[rows]))
     return EnergyReport(
         t=traj.t,
         dH=dh,
@@ -170,7 +183,7 @@ def energy_report(sys, traj):
         supplied=supplied,
         gap=gap,
         energy=h,
-        max_abs_gap=float(np.max(np.abs(gap))),
+        max_abs_gap=_abs_max(gap),
         cumulative_gap=float(np.sum(gap)),
         cumulative_dH=float(h[-1] - h[0]),
         cumulative_dissipated=float(np.sum(dissipated)),
@@ -348,14 +361,18 @@ def strong_trajectory_audit(sys, traj):
     traj.check_shapes(sys)
     if traj.steps < 2:
         raise StructureError("pointwise audit needs at least two steps")
-    xdot = (traj.x[2:] - traj.x[:-2]) / (2.0 * traj.dt)
-    # each interior node k pairs with the preceding interval's channel values
-    dirac_defects, resistive_defects = _inclusion_defects(
-        sys, traj.x[1:-1], xdot, traj.f_r[:-1], traj.e_r[:-1], traj.f_p[:-1], traj.e_p[:-1],
-    )
+    x = traj.x
+    defects = np.empty((2, traj.steps - 1))
+    for rows in _row_blocks(traj.steps - 1, sys.n):
+        lo, hi = rows.start, rows.stop
+        xdot = (x[lo + 2 : hi + 2] - x[lo:hi]) / (2.0 * traj.dt)
+        # each interior node k pairs with the preceding interval's channel values
+        defects[0, rows], defects[1, rows] = _inclusion_defects(
+            sys, x[lo + 1 : hi + 1], xdot, traj.f_r[rows], traj.e_r[rows], traj.f_p[rows],
+            traj.e_p[rows])
     return StrongAudit(
         t=traj.t[1:-1],
-        dirac_defects=dirac_defects,
-        resistive_defects=resistive_defects,
+        dirac_defects=defects[0],
+        resistive_defects=defects[1],
         normalization=1.0 + traj.channel_magnitude(),
     )

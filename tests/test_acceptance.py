@@ -12,6 +12,7 @@ import scipy.linalg
 from click.testing import CliRunner
 
 import phs_kit as pk
+from phs_kit._linalg import dense
 from phs_kit.cli import main as cli_main
 
 from conftest import random_dirac
@@ -193,7 +194,7 @@ def test_criterion_08_extrapolation_split():
     for sys_ in systems:
         rep = sys_.dirac
         d0 = pk.substructure_D0(rep).shape[1]
-        d0_ok &= d0 + np.linalg.matrix_rank(rep.F_s) == rep.n
+        d0_ok &= d0 + np.linalg.matrix_rank(dense(rep.F_s)) == rep.n
     ok = worst_proj <= 1e-12 and dims_ok and d0_ok
     report(8, ok, f"projector defect {worst_proj:.2e}, rank identities exact {dims_ok}, "
                   f"dim D0 + rank(F_s) = n on assembled systems {d0_ok}")

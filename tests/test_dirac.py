@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import phs_kit as pk
+from phs_kit._linalg import dense
 from phs_kit.dirac import SPARSE_MIN_N
 
 from conftest import random_dirac, self_orthogonality_defect, subspace_mismatch
@@ -119,7 +121,7 @@ def test_validate_both_sides_of_sparse_cutoff(kind, small, large):
         report = pk.validate_kernel(rep)
         assert report.passed
         assert report.rank == rep.n
-        sigma = scipy.linalg.svdvals(np.hstack([rep.F, rep.G]))[-1]
+        sigma = scipy.linalg.svdvals(np.hstack([dense(rep.F), dense(rep.G)]))[-1]
         assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
         image = pk.validate_image(pk.kernel_to_image(rep))
         assert image.passed
@@ -138,7 +140,7 @@ def test_validate_accepts_fine_diffusion():
 
 def test_validate_rank_deficient_sparse_structure_fails_without_raising():
     rep = pk.make_example("string", N=512)[0].dirac
-    f, g = rep.F.copy(), rep.G.copy()
+    f, g = rep.F.toarray(), rep.G.toarray()
     f[5] = g[5] = 0.0
     broken = _with_blocks(rep, f, g)
     report = pk.validate_kernel(broken)
@@ -147,7 +149,7 @@ def test_validate_rank_deficient_sparse_structure_fails_without_raising():
     image = pk.validate_image(pk.kernel_to_image(broken))
     assert (image.passed, image.rank, image.sigma_min) == (report.passed, report.rank, report.sigma_min)
     # two rows made inexact combinations of others: SuperLU factors M, and the rank counts both
-    f, g = rep.F.copy(), rep.G.copy()
+    f, g = rep.F.toarray(), rep.G.toarray()
     for row, (a, b) in ((7, (20, 600)), (300, (40, 900))):
         f[row], g[row] = 0.3 * f[a] - 1.7 * f[b], 0.3 * g[a] - 1.7 * g[b]
     assert pk.validate_kernel(_with_blocks(rep, f, g)).rank == rep.n - 2
@@ -363,3 +365,33 @@ def test_maximality_dimension(rng):
     rep = random_dirac(rng, 7)
     basis = scipy.linalg.null_space(np.hstack([rep.F, rep.G]))
     assert basis.shape[1] == 7
+
+
+def _with_form(rep, form):
+    """The same structure with F and G stored dense or as scipy.sparse arrays."""
+    return pk.DiracKernelRep(F=form(rep.F), G=form(rep.G), n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
+
+
+@pytest.mark.parametrize("kind, n", [("string", 8), ("diffusion", 8), ("string", 128),
+                                     ("diffusion", 256), ("damped_oscillator", None)])
+def test_dense_and_sparse_structures_validate_alike(kind, n):
+    rep = pk.make_example(kind, **({} if n is None else {"N": n}))[0].dirac
+    as_dense = _with_form(rep, dense)
+    as_sparse = _with_form(rep, scipy.sparse.csr_array)
+    assert not scipy.sparse.issparse(as_dense.F) and scipy.sparse.issparse(as_sparse.G)
+    # below SPARSE_MIN_N a sparse structure takes the dense branch too
+    assert pk.validate_kernel(as_sparse) == pk.validate_kernel(as_dense)
+    assert pk.validate_kernel(as_sparse).passed
+    assert pk.substructure_D0(as_sparse).shape == pk.substructure_D0(as_dense).shape
+    assert np.array_equal(pk.extrapolation_split(as_sparse).projector_kernel,
+                          pk.extrapolation_split(as_dense).projector_kernel)
+
+
+def test_sparse_structure_keeps_its_csr_arrays():
+    rep = pk.make_example("string", N=16)[0].dirac
+    assert rep.csr == (rep.F, rep.G)
+    assert all(scipy.sparse.issparse(block) and block.format == "csr"
+               for block in (rep.F_s, rep.G_s, rep.F_r, rep.G_p))
+    assert np.array_equal(rep.G_p.toarray(), rep.G.toarray()[:, rep.n_s + rep.n_r:])
+    coo = _with_form(rep, scipy.sparse.coo_array)
+    assert coo.F.format == "csr" and np.array_equal(coo.F.toarray(), rep.F.toarray())

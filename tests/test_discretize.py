@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import phs_kit as pk
+from phs_kit._linalg import dense
 from phs_kit import DiffusionSpec, StringSpec, diffusion_system, psi_potential, string_system
 from phs_kit.discretize import NamedForce
 
@@ -84,8 +86,9 @@ def test_discretizer_matrices_at_n3():
         [-1, 0, 0, 0, 0, 0, 0, 1, 0],
         [0, 0, 0, -1, 0, 0, 0, 0, 1],
     ])
-    assert np.array_equal(string.dirac.F, f_string)
-    assert np.array_equal(string.dirac.G, g_string)
+    assert scipy.sparse.issparse(string.dirac.F) and scipy.sparse.issparse(string.dirac.G)
+    assert np.array_equal(string.dirac.F.toarray(), f_string)
+    assert np.array_equal(string.dirac.G.toarray(), g_string)
     diffusion, _ = diffusion_system(DiffusionSpec(N=3))
     k2 = 1.0 / ((1.0 / 3) * (1.0 / 3))
     g_diffusion = np.array([
@@ -97,8 +100,9 @@ def test_discretizer_matrices_at_n3():
         [-k, 0, 0, 0, 0, 0, 0],
         [0, 0, -k, 0, 0, 0, 0],
     ])
-    assert np.array_equal(diffusion.dirac.F, np.eye(7))
-    assert np.array_equal(diffusion.dirac.G, g_diffusion)
+    assert scipy.sparse.issparse(diffusion.dirac.F) and scipy.sparse.issparse(diffusion.dirac.G)
+    assert np.array_equal(diffusion.dirac.F.toarray(), np.eye(7))
+    assert np.array_equal(diffusion.dirac.G.toarray(), g_diffusion)
 
 
 def test_string_small_case_structure():
@@ -184,15 +188,15 @@ def test_string_clamped_spectrum_imaginary():
     # generator, so its inverse recovers the generator spectrum; the two
     # constraint modes sit exactly at mu = -1 and are excluded.
     sys_, _ = string_system(StringSpec(N=10))
-    d = sys_.dirac
+    f_s, g_s, f_p = (dense(block) for block in (sys_.dirac.F_s, sys_.dirac.G_s, sys_.dirac.F_p))
     h_mat = np.zeros((sys_.n_s, sys_.n_s))
     for i in range(sys_.n_s):
         e = np.zeros(sys_.n_s)
         e[i] = 1.0
         h_mat[:, i] = pk.ham_grad(sys_.ham, e)  # linear force: grad H = h_mat x
     dt = 1e-2
-    lhs = np.hstack([-d.F_s / dt + 0.5 * d.G_s @ h_mat, d.F_p])
-    rhs = -(d.F_s / dt + 0.5 * d.G_s @ h_mat)
+    lhs = np.hstack([-f_s / dt + 0.5 * g_s @ h_mat, f_p])
+    rhs = -(f_s / dt + 0.5 * g_s @ h_mat)
     step = np.linalg.solve(lhs, rhs)[: sys_.n_s]
     mu = np.linalg.eigvals(step)
     physical = mu[np.abs(mu + 1.0) > 1e-6]
@@ -288,3 +292,18 @@ def test_generators_validate_across_resolutions():
     for n in (3, 16, 64):
         sys_, _ = diffusion_system(DiffusionSpec(N=n))
         assert pk.validate_kernel(sys_.dirac).skew_defect <= 1e-12
+
+
+def test_string_at_n4096_is_built_without_a_dense_structure():
+    # one dense n x n array would be 8195^2 doubles = 537 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sys_, _ = pk.make_example("string", N=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys_.metadata["dirac_validation"]["passed"]
+    assert scipy.sparse.issparse(sys_.dirac.F) and scipy.sparse.issparse(sys_.dirac.G)
+    assert peak < 32 * 2**20

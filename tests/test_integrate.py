@@ -654,3 +654,31 @@ def test_dg_shaken_tanh_string_at_n128():
     assert traj.steps == 300
     assert traj.metadata["jacobian_rebuilds"] == 1
     assert pk.energy_report(sys_, traj).max_abs_gap <= 1e-12
+
+
+def _sparse_or_dense_cases():
+    string, grid = pk.make_example("string", N=8, force="tanh")
+    bump = np.concatenate([np.zeros(9), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    diffusion, _ = pk.make_example("diffusion", N=8)
+    return {
+        "string": (string, bump, {1: lambda t: 0.3 * math.sin(2.0 * t)}),
+        "diffusion": (diffusion, np.linspace(-1.0, 2.0, 8), {0: 0.3}),
+        "damped": (pk.damped_oscillator(1.0), [1.0, 0.0], None),
+        "forced": (pk.forced_oscillator(), [0.3, -0.2], {0: lambda t: math.sin(3.0 * t)}),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+@pytest.mark.parametrize("case", ["string", "diffusion", "damped", "forced"])
+def test_dense_and_sparse_structures_give_equal_trajectories(case, scheme):
+    sys_, x0, inputs = _sparse_or_dense_cases()[case]
+    runs = []
+    for form in (lambda a: a.toarray() if scipy.sparse.issparse(a) else a, scipy.sparse.csr_array):
+        d = sys_.dirac
+        rep = pk.DiracKernelRep(F=form(d.F), G=form(d.G), n_s=d.n_s, n_r=d.n_r, n_p=d.n_p)
+        system = pk.assemble(rep, sys_.ham, sys_.res, sys_.causality)
+        runs.append(simulate(system, x0, inputs, (0.0, 0.5), SchemeConfig(scheme, dt=1e-2)))
+    dense_run, sparse_run = runs
+    for name in ("x", "f_r", "e_r", "f_p", "e_p"):
+        assert np.array_equal(getattr(dense_run, name), getattr(sparse_run, name))
+    assert dense_run.metadata == sparse_run.metadata

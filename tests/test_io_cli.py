@@ -6,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phs_kit as pk
 from phs_kit.cli import main
 from phs_kit.fileio import (
     FileFormatError,
+    _matrix,
+    _matrix_doc,
+    _sparse_matrix,
     system_from_dict,
     system_to_dict,
     trajectory_from_csv,
@@ -56,8 +62,13 @@ def test_builtin_string_file_loads_and_resaves_unchanged(runner, tmp_path):
     pk.save_system(sys_, path)
     resaved = pk.load_system(path)
     assert system_to_dict(resaved)["hamiltonian"] == doc["hamiltonian"]
-    example = runner.invoke(main, ["example", "string", "--n", "4", "--force", "tanh"])
-    assert example.output == text
+    # the example now writes F and G as COO triplets; the file holds them as dense rows
+    example = json.loads(runner.invoke(main, ["example", "string", "--n", "4", "--force", "tanh"]).output)
+    blocks = system_from_dict(example).dirac.csr
+    for key, block in zip(("F", "G"), blocks):
+        assert np.array_equal(block.toarray(), doc.pop(key))
+        assert set(example.pop(key)) == {"shape", "row", "col", "data"}
+    assert example == doc
 
 
 def test_builtin_string_file_with_node_sampled_density():
@@ -131,6 +142,71 @@ def test_system_dict_rejects_garbage():
     doc = system_to_dict(pk.oscillator())
     doc["hamiltonian"] = {"type": "spline"}
     with pytest.raises(FileFormatError):
+        system_from_dict(doc)
+
+
+@st.composite
+def file_matrices(draw):
+    """A matrix of any finite doubles, about half of them zero, dense or as a CSR array."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(arrays(float, (n_rows, n_cols), elements=st.floats(allow_nan=False)))
+    kept = draw(arrays(bool, (n_rows, n_cols)))
+    m = np.where(kept, values, 0.0)
+    return scipy.sparse.csr_array(m) if draw(st.booleans()) else m
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64 if np.asarray(a).dtype == float else np.asarray(a).dtype)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(file_matrices())
+def test_matrix_file_forms_round_trip_bit_identically(m):
+    doc = json.loads(json.dumps(_matrix_doc(m)))
+    if scipy.sparse.issparse(m):
+        assert set(doc) == {"shape", "row", "col", "data"}
+        back = _sparse_matrix(doc, "G")
+        for name in ("data", "indices", "indptr"):
+            want, got = getattr(m, name), getattr(back, name)
+            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+        assert back.shape == m.shape
+    else:
+        back = _matrix(doc, "G")
+        assert back.shape == m.shape and np.array_equal(_bits(back), _bits(m))
+
+
+@pytest.mark.parametrize("kind", ["string", "diffusion"])
+def test_sparse_system_file_round_trip_is_bit_identical(tmp_path, kind):
+    sys_, _ = pk.make_example(kind, N=64)
+    path = tmp_path / "sys.json"
+    pk.save_system(sys_, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["G"]["shape"] == [sys_.n, sys_.n]
+    loaded = pk.load_system(path)
+    for got, want in zip(loaded.dirac.csr, sys_.dirac.csr):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+    assert (loaded.n_s, loaded.n_r, loaded.n_p) == (sys_.n_s, sys_.n_r, sys_.n_p)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("shape", [19], "two whole numbers"),
+    ("shape", [19, 19.5], "whole number"),
+    ("row", "auto", "flat lists"),
+    ("data", [1.0], "flat lists"),
+    ("row", [1.5] * 36, "whole numbers inside"),
+    ("col", [19] * 36, "whole numbers inside"),
+    ("row", [-1] * 36, "whole numbers inside"),
+    ("shape", [20, 20], "square with equal shape"),
+])
+def test_sparse_matrix_field_refuses_malformed_triplets(key, value, message):
+    doc = system_to_dict(pk.make_example("string", N=8)[0])
+    assert len(doc["G"]["row"]) == 36
+    doc["G"][key] = value
+    with pytest.raises(FileFormatError, match=message):
+        system_from_dict(doc)
+    del doc["G"]["data"]
+    with pytest.raises(FileFormatError, match="COO triplet"):
         system_from_dict(doc)
 
 

@@ -402,3 +402,100 @@ def test_strong_audit_argmax_includes_resistive_defects():
     assert audit.max_defect == audit.resistive_defects[k] > np.max(audit.dirac_defects)
     assert audit.argmax_time == audit.t[k]
     assert audit.argmax_time == pytest.approx(1.21)
+
+
+# --- blocked audits against whole-trajectory references ---------------------
+
+_LO, _HI = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+
+
+def _abs_max_reference(traj):
+    return float(max(np.max(np.abs(a)) for a in (traj.x, traj.f_r, traj.e_r, traj.f_p, traj.e_p)
+                     if a.size))
+
+
+def _weak_unblocked(sys_, traj):
+    """The weak residual table in one pass over the whole trajectory."""
+    half_dt, x = 0.5 * traj.dt, traj.x
+    grad_lo = sys_.ham.gradient((1.0 - _LO) * x[:-1] + _LO * x[1:])
+    grad_hi = sys_.ham.gradient((1.0 - _HI) * x[:-1] + _HI * x[1:])
+    rising = _LO * grad_lo + _HI * grad_hi
+    falling = (1.0 - _LO) * grad_lo + (1.0 - _HI) * grad_hi
+    x_mid = 0.5 * (x[:-1] + x[1:])
+    tested = lambda c: half_dt * (c[:-1] + c[1:]).T
+    raw = sys_.dirac.residual(
+        np.vstack([(x_mid[:-1] - x_mid[1:]).T, tested(traj.f_r), tested(traj.f_p)]).T,
+        np.vstack([half_dt * (rising[:-1] + falling[1:]).T, tested(traj.e_r), tested(traj.e_p)]).T)
+    return np.abs(raw) / (traj.dt * (1.0 + _abs_max_reference(traj)))
+
+
+def _energy_unblocked(sys_, traj):
+    """(energy, dH, dissipated, supplied, gap) in one pass over the whole trajectory."""
+    h = sys_.ham.value(traj.x)
+    dh = np.diff(h)
+    zeros = np.zeros(traj.steps)
+    dissipated = traj.dt * np.einsum("ij,ij->i", traj.f_r, traj.e_r) if sys_.n_r else zeros
+    supplied = traj.dt * np.einsum("ij,ij->i", traj.f_p, traj.e_p) if sys_.n_p else zeros
+    return h, dh, dissipated, supplied, dh - dissipated - supplied
+
+
+def _strong_unblocked(sys_, traj):
+    """Pointwise Dirac defects at every interior node in one pass."""
+    xdot = (traj.x[2:] - traj.x[:-2]) / (2.0 * traj.dt)
+    flows = np.hstack([-xdot, traj.f_r[:-1], traj.f_p[:-1]])
+    efforts = np.hstack([sys_.ham.gradient(traj.x[1:-1]), traj.e_r[:-1], traj.e_p[:-1]])
+    return np.linalg.norm(sys_.dirac.residual(flows, efforts), axis=1)
+
+
+def _blocked_cases():
+    string, grid = pk.make_example("string", N=64, force="tanh")
+    x0 = np.concatenate([np.zeros(65), 0.3 * np.sin(np.pi * grid["h"] * (np.arange(64) + 0.5))])
+    return {
+        "string": (string, x0, {1: lambda t: 0.3 * np.sin(2.0 * t)}, 2.0),
+        "damped": (pk.damped_oscillator(1.0), [1.0, 0.0], None, 30.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["string", "damped"])
+def test_blocked_audits_match_the_unblocked_reference(name):
+    from phs_kit.system import _row_blocks
+
+    sys_, x0, inputs, t_end = _blocked_cases()[name]
+    traj = simulate(sys_, x0, inputs, (0.0, t_end), SchemeConfig(dt=1e-3))
+    assert len(_row_blocks(traj.steps - 1, sys_.n)) > 2
+    weak = weak_residual(sys_, traj)
+    want = _weak_unblocked(sys_, traj)
+    assert np.array_equal(weak.residuals, want) and weak.max_residual == want.max()
+    energy = energy_report(sys_, traj)
+    h, dh, dissipated, supplied, gap = _energy_unblocked(sys_, traj)
+    for got, ref in ((energy.energy, h), (energy.dH, dh), (energy.dissipated, dissipated),
+                     (energy.supplied, supplied), (energy.gap, gap)):
+        assert np.array_equal(got, ref)
+    assert energy.max_abs_gap == np.max(np.abs(gap))
+    assert energy.ineq_defect == np.max(dh - supplied)
+    assert energy.cumulative_gap == np.sum(gap)
+    # the pointwise norms are taken per block with np.linalg.norm, row by row as before
+    audit = strong_trajectory_audit(sys_, traj)
+    assert np.array_equal(audit.dirac_defects, _strong_unblocked(sys_, traj))
+
+
+def test_row_blocks_cover_in_order_with_balanced_lengths():
+    from phs_kit.system import _BLOCK_CELLS, _row_blocks
+
+    for rows, width in ((0, 5), (1, 5), (7, _BLOCK_CELLS), (29999, 3), (299, 1027), (300, 10 ** 6)):
+        blocks = _row_blocks(rows, width)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(0 < s <= max(1, _BLOCK_CELLS // width) for s in sizes)
+        assert not sizes or max(sizes) - min(sizes) <= 1
+
+
+def test_channel_magnitude_is_bit_identical_to_the_max_of_abs():
+    rng = np.random.default_rng(5)
+    cases = [rng.standard_normal((40, 3)), -np.abs(rng.standard_normal((40, 3))),
+             np.zeros((40, 3)), np.full((40, 3), -0.0), np.array([[1.0, np.nan]] * 40)]
+    for x in cases:
+        traj = make_traj(pk.oscillator(), x)
+        got, want = traj.channel_magnitude(), _abs_max_reference(traj)
+        assert np.array_equal(np.array(got), np.array(want), equal_nan=True)
+        assert np.signbit(got) == np.signbit(want)

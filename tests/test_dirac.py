@@ -389,7 +389,7 @@ def test_dense_and_sparse_structures_validate_alike(kind, n):
 
 def test_sparse_structure_keeps_its_csr_arrays():
     rep = pk.make_example("string", N=16)[0].dirac
-    assert rep.csr == (rep.F, rep.G)
+    assert rep.csr[0] is rep.F and rep.csr[1] is rep.G
     assert all(scipy.sparse.issparse(block) and block.format == "csr"
                for block in (rep.F_s, rep.G_s, rep.F_r, rep.G_p))
     assert np.array_equal(rep.G_p.toarray(), rep.G.toarray()[:, rep.n_s + rep.n_r:])

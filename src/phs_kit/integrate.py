@@ -37,7 +37,7 @@ import scipy.sparse
 from ._linalg import EPS, _fd_jacobian, dense, subspace_bases
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
-from .system import PortSignal, Trajectory
+from .system import PortSignal, Trajectory, _row_blocks
 
 __all__ = [
     "SchemeConfig",
@@ -514,10 +514,12 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     v = np.empty((n_steps + 1, n_aux))  # v[0] seeds the first predictor
     x[0], v[0] = x0, 0.0
     max_residual = step_map.run(solver, x, v)
-    v = v[1:]
-    x_mid = x[:-1] + x[1:]
-    x_mid *= 0.5
-    f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x_mid, prescribed)
+    v, e_r, f_p, e_p = v[1:], *(np.empty((n_steps, w)) for w in (n_aux - n_p, n_p, n_p))
+    f_r = v[:, :n_aux - n_p]  # f_R overwrites the relation's own unknowns (n_aux = n_r)
+    for rows in _row_blocks(n_steps, sys.n):  # no temporary grows with the run
+        x_mid = 0.5 * (x[rows] + x[rows.start + 1 : rows.stop + 1])
+        f_r[rows], e_r[rows], f_p[rows], e_p[rows] = _channels(
+            sys, effort_prescribed, v[rows], x_mid, prescribed[rows])
 
     metadata = {
         "scheme": cfg.scheme,

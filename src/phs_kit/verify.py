@@ -13,10 +13,10 @@ produced by the integrator.
 The weak, energy and pointwise audits walk the trajectory in blocks of time
 rows (``system._row_blocks``) and write each block's rows into tables
 allocated once, so no temporary grows with the trajectory; a row's value does
-not depend on the block it falls in.
+not depend on the block it falls in.  ``mollify`` takes its exact taps from
+one Gauss-Legendre rule that numpy evaluates for all of them at once.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,33 +195,41 @@ def energy_report(sys, traj):
 
 # --- mollification -----------------------------------------------------------
 
-# quad's default epsabs (1.49e-8) would swamp taps that must sum to 1
-_QUAD_TOL = {"epsabs": 0.0, "epsrel": 1e-13}
-
-_BUMP_MASS = None
+# 80 nodes give the whole bump to roundoff; 64 leave 1.3e-14 of its mass, 72 about 4e-15
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
 
-def _bump_shape(s):
-    """exp(-1/(1 - s^2)) on (-1, 1) and 0 elsewhere: the bump before normalization."""
-    u = 1.0 - s * s
-    return math.exp(-1.0 / u) if u > 0.0 else 0.0
+def _bump_integrals(eps, lo, hi, dt=None):
+    """∫ exp(-1/(1-(tau/eps)^2)) w(tau) dtau / eps over each [lo_i, hi_i] ∩ [-eps, eps].
+
+    w is 1, or with ``dt`` the rising hat (tau - lo_i) / dt.  With tau = eps tanh u the bump is
+    exp(-cosh^2 u) / cosh^2 u, entire and underflowed past |u| = 4 (cosh^2 4 = 745.9): one
+    Gauss-Legendre rule on each u-range clipped to [-4, 4], rows in blocks.
+    """
+    ends = np.arctanh(np.clip(np.array([lo, hi]) / eps, -np.tanh(4.0), np.tanh(4.0)))
+    out = np.empty(ends.shape[1])
+    for rows in _row_blocks(out.size, _GL_NODES.size):
+        half = 0.5 * (ends[1, rows] - ends[0, rows])[:, None]
+        u = 0.5 * (ends[0, rows] + ends[1, rows])[:, None] + half * _GL_NODES
+        cosh2 = np.cosh(u) ** 2
+        g = np.exp(-cosh2) / cosh2 * (half * _GL_WEIGHTS)
+        if dt is not None:
+            g *= (eps * np.tanh(u) - lo[rows, None]) / dt
+        out[rows] = g.sum(axis=1)
+    return out
 
 
 def bump_constant():
-    """Normalization 1/∫ exp(-1/(1-s^2)) ds over (-1, 1), computed once."""
-    global _BUMP_MASS
-    if _BUMP_MASS is None:
-        from scipy.integrate import quad  # imported on use: it loads scipy.optimize too
-        _BUMP_MASS, _ = quad(_bump_shape, -1.0, 1.0, **_QUAD_TOL)
-    return 1.0 / _BUMP_MASS
+    """Normalization 1/∫ exp(-1/(1-s^2)) ds over (-1, 1), by the taps' own rule."""
+    return 1.0 / float(_bump_integrals(1.0, np.array([-1.0]), np.array([1.0]))[0])
 
 
 @dataclass(frozen=True)
 class MollifierConfig:
     """Bump half-width eps = 1/n_smooth time units.
 
-    ``quad_points`` must be >= 2 but has no effect: ``mollify`` takes its taps
-    from ``quad``, which needs no fixed order.  It stays for existing callers.
+    ``quad_points`` must be >= 2 but has no effect: ``mollify`` takes every
+    tap from one fixed 80-point rule.  It stays for existing callers.
     """
 
     n_smooth: int
@@ -236,16 +244,6 @@ class MollifierConfig:
     @property
     def eps(self):
         return 1.0 / float(self.n_smooth)
-
-
-def _bump_integral(eps, lo, hi, weight):
-    """∫ delta(tau) weight(tau) dtau over [lo, hi] ∩ [-eps, eps], to double precision."""
-    from scipy.integrate import quad
-    lo, hi = max(lo, -eps), min(hi, eps)
-    if lo >= hi:
-        return 0.0
-    value, _ = quad(lambda tau: _bump_shape(tau / eps) * weight(tau), lo, hi, **_QUAD_TOL)
-    return bump_constant() / eps * value
 
 
 def _apply_stencil(values, lo, rows, taps):
@@ -273,12 +271,12 @@ def mollify(traj, cfg):
         node data:     ∫ delta(tau) hat((tau + o dt) / dt) dtau,
         interval data: C((-o + 1/2) dt) - C((-o - 1/2) dt),
 
-    with hat the unit hat on [-1, 1] and C(a) = ∫_{-eps}^a delta.  ``quad``
-    gives each interval tap, and each whole step's share of a node tap, to
-    double precision (differences of C and of the first moment would lose a
-    factor eps/dt), so both stencils sum to 1 to roundoff with no rescaling.
-    The bump underflows to 0 within about 7e-4 eps of +-eps and exact zero
-    taps are dropped, so roundoff in dt never widens a stencil.
+    with hat the unit hat on [-1, 1] and C(a) = ∫_{-eps}^a delta.  One Gauss
+    rule gives each interval tap, and each whole step's share of a node tap,
+    to double precision (differences of C and of the first moment would lose
+    a factor eps/dt), so both stencils sum to 1 to roundoff with no rescaling.
+    The rule stops where the bump underflows, within about 7e-4 eps of +-eps,
+    and exact zero taps are dropped, so roundoff in dt never widens a stencil.
     """
     eps = cfg.eps
     dt = traj.dt
@@ -295,10 +293,10 @@ def mollify(traj, cfg):
     # whole step [a, b] feeds the rising half of the hat at b and the falling
     # half of the hat at a; delta is even, so the falling share of step k is
     # the rising share of step -k-1, and both stencils are exactly symmetric
-    up = np.array([_bump_integral(eps, a, b, lambda tau: (tau - a) / dt)
-                   for a, b in zip(shifts[:-1], shifts[1:])])
+    up = bump_constant() * _bump_integrals(eps, shifts[:-1], shifts[1:], dt)
     node_taps = np.trim_zeros(np.r_[0.0, up] + np.r_[up[::-1], 0.0])
-    half = [_bump_integral(eps, s - 0.5 * dt, s + 0.5 * dt, lambda tau: 1.0) for s in shifts[steps:]]
+    edges = dt * (np.arange(steps + 2) - 0.5)  # neighbours share an edge: the pieces tile the bump
+    half = bump_constant() * _bump_integrals(eps, edges[:-1], edges[1:])
     interval_taps = np.trim_zeros(np.r_[half[:0:-1], half])
     start = int(np.argmax(keep))
     x_out = _apply_stencil(traj.x, start - node_taps.size // 2, t_out.size, node_taps)

@@ -134,6 +134,28 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_certify_pipeline_leaves_scipy_integrate_unloaded(tmp_path, forced):
+    # load -> weak, energy and pointwise audits -> mollify -> save, in a fresh interpreter
+    pk.save_system(forced, tmp_path / "forced.json")
+    traj = pk.simulate(forced, [0.3, -0.2], {0: lambda t: np.sign(np.sin(5.0 * t))}, (0.0, 2.0),
+                       pk.SchemeConfig(dt=1e-3))
+    pk.save_trajectory(traj, tmp_path / "traj.csv")
+    code = ("import sys, phs_kit as pk; "
+            "system, traj = pk.load_system(sys.argv[1]), pk.load_trajectory(sys.argv[2]); "
+            "[audit(system, traj) for audit in "
+            "(pk.weak_residual, pk.energy_report, pk.strong_trajectory_audit)]; "
+            "pk.save_trajectory(pk.mollify(traj, pk.MollifierConfig(n_smooth=8)), sys.argv[3]); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "forced.json"),
+                           str(tmp_path / "traj.csv"), str(tmp_path / "smooth.csv")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    smooth = pk.mollify(traj, pk.MollifierConfig(n_smooth=8))
+    assert np.array_equal(pk.load_trajectory(tmp_path / "smooth.csv").x, smooth.x)
+
+
 def test_system_dict_rejects_garbage():
     with pytest.raises(FileFormatError):
         system_from_dict({"version": "2"})

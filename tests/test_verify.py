@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import phs_kit as pk
@@ -185,7 +188,8 @@ def test_weak_and_energy_reports_locate_a_perturbed_node(damped):
 
 
 def test_bump_constant_matches_oracle():
-    assert bump_constant() == pytest.approx(1.0 / BUMP_MASS_ORACLE, rel=1e-10)
+    # approx adds abs=1e-12 unless told otherwise, which would loosen rel=1e-14 100-fold
+    assert bump_constant() == pytest.approx(1.0 / BUMP_MASS_ORACLE, rel=1e-14, abs=0.0)
 
 
 def test_mollify_constant_trajectory_unchanged(damped):
@@ -205,17 +209,14 @@ def test_mollify_too_short_interval(damped):
         mollify(traj, MollifierConfig(n_smooth=10))
 
 
-def _mollify_by_taps(traj, cfg):
-    """Reference: every tap by its own quad, applied as a dense (output x data) matrix.
+def _quad_taps(eps, dt):
+    """Reference taps, each by its own quad: {offset o: tap} for node and for interval data.
 
-    Data row j = k0 + k + o feeds output node k (data row k0 + k) with
-    ∫ delta(tau) hat((tau + o dt)/dt) dtau, split at the hat's peak, and data
-    interval j feeds output interval k with the bump mass on the tau for
-    which the output midpoint minus tau falls in interval j.
+    Data row o rows from an output node gets ∫ delta(tau) hat((tau + o dt)/dt)
+    dtau, split at the hat's peak, and data interval o intervals from an output
+    interval gets the bump mass on the tau for which the output midpoint minus
+    tau falls in that interval.
     """
-    eps, dt, t = cfg.eps, traj.dt, traj.t
-    keep = (t >= t[0] + eps - 1e-12 * dt) & (t <= t[-1] - eps + 1e-12 * dt)
-    t_out, k0 = t[keep], int(np.argmax(keep))
     scale = bump_constant() / eps
 
     def delta(tau):
@@ -234,6 +235,15 @@ def _mollify_by_taps(traj, cfg):
         node[o] = (tap((-o - 1) * dt, -o * dt, lambda tau: 1.0 + (tau + o * dt) / dt)
                    + tap(-o * dt, (-o + 1) * dt, lambda tau: 1.0 - (tau + o * dt) / dt))
         interval[o] = tap((-o - 0.5) * dt, (-o + 0.5) * dt, lambda tau: 1.0)
+    return node, interval
+
+
+def _mollify_by_taps(traj, cfg):
+    """Reference: the quad taps applied as a dense (output x data) matrix."""
+    eps, dt, t = cfg.eps, traj.dt, traj.t
+    keep = (t >= t[0] + eps - 1e-12 * dt) & (t <= t[-1] - eps + 1e-12 * dt)
+    t_out, k0 = t[keep], int(np.argmax(keep))
+    node, interval = _quad_taps(eps, dt)
 
     def matrix(taps, rows, cols):
         w = np.zeros((rows, cols))
@@ -248,6 +258,42 @@ def _mollify_by_taps(traj, cfg):
     w_interval = matrix(interval, t_out.size - 1, traj.steps)
     channels = {name: w_interval @ getattr(traj, name) for name in ("f_r", "e_r", "f_p", "e_p")}
     return t_out, x, channels
+
+
+@st.composite
+def mollifier_grids(draw):
+    """(n_smooth, dt) with dt in [1e-4, 0.5]: eps = 1/n_smooth < dt included, and eps
+    within a few ulps of a whole multiple of dt."""
+    n_smooth = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return n_smooth, 10.0 ** draw(st.floats(-4.0, np.log10(0.5)))
+    dt = 1.0 / n_smooth / draw(st.integers(1, 150)) * (1.0 + draw(st.integers(-4, 4)) * 2.0 ** -52)
+    assume(dt <= 0.5)
+    return n_smooth, dt
+
+
+def _mollified_impulse_taps(n_smooth, dt):
+    """{offset o: tap} of mollify's node and interval stencils, read off a mollified unit impulse.
+
+    Output row k of an impulse at data row j is the tap of offset j - (k0 + k).
+    """
+    cfg = MollifierConfig(n_smooth=n_smooth)
+    m = 4 * int(cfg.eps // dt) + 8
+    x, f_r, none = np.zeros((m + 1, 1)), np.zeros((m, 1)), np.zeros((m, 0))
+    x[m // 2], f_r[m // 2] = 1.0, 1.0
+    out = mollify(pk.Trajectory(t=dt * np.arange(m + 1), x=x, f_r=f_r, e_r=f_r, f_p=none, e_p=none), cfg)
+    k0 = int(np.searchsorted(dt * np.arange(m + 1), out.t[0]))
+    return [{m // 2 - k0 - k: w for k, w in enumerate(column)} for column in (out.x[:, 0], out.f_r[:, 0])]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mollifier_grids())
+@example((1, 1e-4))  # the widest stencil drawn: 2e4 + 1 taps
+def test_mollify_taps_match_quad(grid):
+    n_smooth, dt = grid
+    for got, ref in zip(_mollified_impulse_taps(n_smooth, dt), _quad_taps(1.0 / n_smooth, dt)):
+        assert all(abs(got.get(o, 0.0) - ref.get(o, 0.0)) <= 2e-14 for o in got.keys() | ref.keys())
+        assert abs(math.fsum(got.values()) - 1.0) <= 1e-14
 
 
 def _random_traj(dt, t0):

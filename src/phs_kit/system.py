@@ -239,9 +239,10 @@ class Trajectory:
         arrays = {"t": t, "x": x}
         for name in ("f_r", "e_r", "f_p", "e_p"):
             a = np.asarray(getattr(self, name), dtype=float)
-            a = a.reshape(m, -1) if a.size else np.zeros((m, 0))
-            if a.shape[0] != m:
-                raise StructureError(f"{name} must have {m} interval rows, got {a.shape[0]}")
+            a = a[:, None] if a.ndim == 1 else a  # one channel; else one row per interval
+            a = a if a.size else np.zeros((m, 0))
+            if a.ndim != 2 or a.shape[0] != m:
+                raise StructureError(f"{name} must have {m} interval rows, got shape {a.shape}")
             arrays[name] = a
         if arrays["f_r"].shape != arrays["e_r"].shape:
             raise StructureError("f_r and e_r must have equal shape")

@@ -121,7 +121,8 @@ class EnergyReport:
     dt*<f_P, e_P>.  ``ineq_defect`` is max_k (dH[k] - supplied[k]), the
     per-interval defect of the passivity inequality (<= 0 for passive runs up
     to solver tolerance); cumulative counterparts cover [t_0, t_M].  ``as_dict``
-    gives the start time of the first interval with the largest |gap|.
+    gives the largest |gap| divided by ``normalization`` (1 + max channel
+    magnitude) and the start time of the first interval with the largest |gap|.
     """
 
     t: np.ndarray
@@ -137,10 +138,12 @@ class EnergyReport:
     cumulative_supplied: float
     ineq_defect: float
     cumulative_ineq_defect: float
+    normalization: float
 
     def as_dict(self):
         return {
             "max_abs_gap": float(self.max_abs_gap),
+            "max_abs_gap_normalized": float(self.max_abs_gap / self.normalization),
             "cumulative_gap": float(self.cumulative_gap),
             "cumulative_dH": float(self.cumulative_dH),
             "cumulative_dissipated": float(self.cumulative_dissipated),
@@ -190,6 +193,7 @@ def energy_report(sys, traj):
         cumulative_supplied=float(np.sum(supplied)),
         ineq_defect=float(np.max(ineq)),
         cumulative_ineq_defect=float(h[-1] - h[0] - np.sum(supplied)),
+        normalization=1.0 + traj.channel_magnitude(),
     )
 
 
@@ -247,12 +251,13 @@ class MollifierConfig:
 
 
 def _apply_stencil(values, lo, rows, taps):
-    """out[k] = sum_o taps[o] * values[lo + k + o], all columns at once."""
+    """out[k] = sum_o taps[o] * values[lo + k + o], one convolution per column."""
     if lo < 0 or lo + taps.size - 1 + rows > values.shape[0]:
         raise StructureError("mollifier stencil reaches outside the sampled data")
-    out = np.zeros((rows, values.shape[1]))
-    for o, w in enumerate(taps):
-        out += w * values[lo + o:lo + o + rows]
+    segment = values[lo:lo + taps.size - 1 + rows]
+    out = np.empty((rows, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.convolve(segment[:, j], taps[::-1], "valid")
     return out
 
 

@@ -282,6 +282,18 @@ def _assert_bit_identical(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+def test_parametric_system_file_round_trip(tmp_path):
+    damped = pk.damped_oscillator(1.0)
+    sys_ = pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[2.0]], B=[[-1.0]]), ())
+    path = tmp_path / "parametric.json"
+    pk.save_system(sys_, path)
+    back = pk.load_system(path)
+    assert isinstance(back.res, pk.Parametric)
+    assert np.array_equal(back.res.A, sys_.res.A) and np.array_equal(back.res.B, sys_.res.B)
+    _assert_bit_identical(*(pk.simulate(s, [1.0, 0.5], None, (0.0, 0.1), pk.SchemeConfig(dt=1e-2))
+                            for s in (sys_, back)))
+
+
 @pytest.mark.parametrize("variant", ["lf", "crlf", "trailing_blank_line", "crlf_trailing_blank"])
 def test_trajectory_csv_golden_bytes(variant):
     traj = _golden_trajectory()
@@ -462,6 +474,33 @@ def test_cli_check_shape_mismatch_exit_2(runner, tmp_path):
                          "--dt", "1e-2", "--out", str(traj_path)])
     result = runner.invoke(main, ["check", str(damped), str(traj_path)])
     assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith("error: trajectory n_r = 0 != system n_r = 1")
+
+
+@pytest.mark.parametrize("mode, code", [("weak", 2), ("strong", 2), ("energy", 0), ("all", 2)])
+def test_cli_check_one_step_trajectory(runner, tmp_path, mode, code):
+    # simulate writes a one-step file; the weak and pointwise audits need an interior node
+    sys_path, traj_path = tmp_path / "damped.json", tmp_path / "traj.csv"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(sys_path)])
+    result = runner.invoke(main, ["simulate", str(sys_path), "--x0", "1,0", "--t1", "0.001",
+                                  "--dt", "0.001", "--out", str(traj_path)])
+    assert result.exit_code == 0 and pk.load_trajectory(traj_path).steps == 1
+    result = runner.invoke(main, ["check", str(sys_path), str(traj_path), "--mode", mode])
+    assert result.exit_code == code
+    if code:
+        assert result.stdout == "" and result.stderr.startswith("error: ")
+        assert "at least two steps" in result.stderr
+    else:
+        assert json.loads(result.stdout)["energy"]["intervals"] == 1
+
+
+def test_cli_simulate_newton_stall_exits_3(runner, tmp_path):
+    # a Newton tolerance below the roundoff floor stalls, as in the integrator's own test
+    sys_path = tmp_path / "damped.json"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(sys_path)])
+    result = runner.invoke(main, ["simulate", str(sys_path), "--x0", "1,0", "--newton-tol", "1e-16"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("solver failure: ") and "stalled" in result.stderr
 
 
 def test_cli_check_detects_corruption(runner, tmp_path):

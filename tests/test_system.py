@@ -86,6 +86,20 @@ def test_trajectory_shape_checks(oscillator):
         pk.Trajectory(t=[0.0, 0.1, 0.3], x=np.zeros((3, 2)), f_r=[], e_r=[], f_p=[], e_p=[])
 
 
+def test_trajectory_refuses_channel_rows_that_do_not_match_the_grid():
+    t, x = np.arange(5.0), np.zeros((5, 1))
+    wide = np.arange(8.0).reshape(2, 4)  # 8 values, but 2 rows on a 4-interval grid
+    with pytest.raises(pk.StructureError, match="4 interval rows"):
+        pk.Trajectory(t=t, x=x, f_r=wide, e_r=wide, f_p=[], e_p=[])
+    with pytest.raises(pk.StructureError, match="2 interval rows"):
+        pk.Trajectory(t=t[:3], x=x[:3], f_r=np.ones((1, 2)), e_r=np.ones((1, 2)), f_p=[], e_p=[])
+    with pytest.raises(pk.StructureError, match="4 interval rows"):
+        pk.Trajectory(t=t, x=x, f_r=np.arange(8.0), e_r=np.arange(8.0), f_p=[], e_p=[])
+    column = pk.Trajectory(t=t, x=x, f_r=np.arange(4.0), e_r=-np.arange(4.0), f_p=[], e_p=[])
+    assert column.f_r.shape == (4, 1) and column.f_r[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert column.f_p.shape == (4, 0)
+
+
 def test_trajectory_channel_magnitude():
     t = np.array([0.0, 0.5, 1.0])
     traj = pk.Trajectory(t=t, x=np.array([[1.0], [2.0], [-3.0]]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,23 @@ def test_weak_and_energy_reports_locate_a_perturbed_node(damped):
     for doc in (weak, energy):
         assert abs(doc["argmax_time"] - traj.t[k]) <= traj.dt * (1 + 1e-9)
     assert weak["argmax_direction"] in (0, 1)
+    assert energy["max_abs_gap_normalized"] == energy["max_abs_gap"] / (1.0 + bad.channel_magnitude())
+
+
+def test_energy_report_of_a_general_energy_matches_the_quadratic(damped):
+    # the general energy evaluates a batch row by row through its callables
+    h = damped.ham
+    twin = dataclasses.replace(
+        damped, ham=pk.GeneralHamiltonian(value_fn=h.value, gradient_fn=h.gradient, dim=h.dim))
+    traj = simulate(damped, [1.0, 0.0], None, (0.0, 1.0), SchemeConfig(dt=1e-2))
+    quadratic, general = (energy_report(s, traj) for s in (damped, twin))
+    for name in ("energy", "dH", "dissipated", "supplied", "gap"):
+        np.testing.assert_allclose(getattr(general, name), getattr(quadratic, name), rtol=0.0, atol=1e-14)
+    general_doc = general.as_dict()
+    for key, value in quadratic.as_dict().items():
+        # the gaps sit at roundoff here, so the interval holding the largest one may differ
+        if key != "argmax_time":
+            assert abs(general_doc[key] - value) <= 1e-14, key
 
 
 def test_bump_constant_matches_oracle():
@@ -357,6 +375,17 @@ def test_mollify_stencil_never_wraps_outside_the_data():
     for lo, rows in ((-1, 3), (1, 5)):
         with pytest.raises(pk.StructureError):
             _apply_stencil(values, lo, rows, np.array([0.5, 0.5]))
+
+
+def test_mollify_stencil_matches_a_per_tap_sum():
+    rng = np.random.default_rng(5)
+    values = rng.random((400, 3))
+    for n_taps, lo, rows in ((63, 7, 300), (1, 0, 400), (2, 398, 1)):
+        taps = rng.random(n_taps)
+        taps /= taps.sum()
+        ref = sum(w * values[lo + o:lo + o + rows] for o, w in enumerate(taps))
+        np.testing.assert_allclose(_apply_stencil(values, lo, rows, taps), ref, rtol=1e-14, atol=0.0)
+    assert _apply_stencil(np.zeros((10, 0)), 0, 8, np.full(3, 1.0 / 3.0)).shape == (8, 0)
 
 
 def test_mollified_trajectory_near_structure(damped):

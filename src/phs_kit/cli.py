@@ -20,7 +20,7 @@ from .fileio import (
     parse_system_dict,
     save_trajectory,
     system_to_dict,
-    trajectory_to_csv,
+    trajectory_csv_blocks,
 )
 from .integrate import SchemeConfig, simulate
 from .system import PortSignal, assemble, validate_components
@@ -47,7 +47,7 @@ def _load_doc(path):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -179,7 +179,8 @@ def cmd_simulate(system_file, x0, t0, t1, dt, scheme, newton_tol, inputs, out):
     if out:
         save_trajectory(traj, out)
     else:
-        click.echo(trajectory_to_csv(traj), nl=False)
+        for block in trajectory_csv_blocks(traj):
+            click.echo(block, nl=False)
 
 
 @main.command("check")

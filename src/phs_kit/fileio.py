@@ -16,11 +16,18 @@ canonical one (no reordered, repeated, renumbered or padded names), fields are
 plain unquoted numbers, and only trailing blank lines are allowed; LF and CRLF
 line endings both read.  Floats are serialized with 17 significant
 digits, so write -> read round-trips bit-identically.
+
+Trajectory files are written and read one row block (``system._row_blocks``)
+at a time, never as the whole text: the reader counts the lines first and
+parses each block into arrays allocated once.  A malformed row is reported
+by its row number in the file.
 """
 
+import io
 import json
 import re
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import scipy.sparse
@@ -30,7 +37,7 @@ from .dirac import DiracKernelRep
 from .discretize import StringHamiltonian
 from .energy import LinearGraph, Parametric, QuadraticHamiltonian
 from .errors import StructureError
-from .system import Trajectory, assemble
+from .system import Trajectory, _row_blocks, assemble
 
 __all__ = [
     "FileFormatError",
@@ -208,7 +215,7 @@ def load_system(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or invalid JSON
             raise FileFormatError(f"invalid JSON in {path}: {exc}") from exc
     return system_from_dict(doc)
 
@@ -226,21 +233,32 @@ def _traj_header(n_s, n_r, n_p):
     return cols
 
 
+def trajectory_csv_blocks(traj):
+    """TrajectoryFileV1 text in pieces: the header and first row, then one piece per row block.
+
+    Each block holds at most ``system._BLOCK_CELLS`` numbers, so writing a
+    trajectory holds one block's text at a time, never the whole file's.
+    """
+    names = _traj_header(traj.n_s, traj.f_r.shape[1], traj.f_p.shape[1])
+    head = np.concatenate([traj.t[:1], traj.x[0]])
+    first = ",".join(["%.17g"] * head.size + [""] * (len(names) - head.size)) + "\n"
+    yield ",".join(names) + "\n" + first % tuple(head.tolist())
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    # the row of interval k holds node k + 1 of t and x and interval k of each channel
+    body = [traj.t[1:, None], traj.x[1:], traj.f_r, traj.e_r, traj.f_p, traj.e_p]
+    for rows in _row_blocks(traj.steps, len(names)):
+        block = np.column_stack([a[rows] for a in body])
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def trajectory_to_csv(traj):
     """Render TrajectoryFileV1 as a string."""
-    n_s, n_r, n_p = traj.x.shape[1], traj.f_r.shape[1], traj.f_p.shape[1]
-    head = np.concatenate([traj.t[:1], traj.x[0]])
-    body = np.column_stack([traj.t[1:], traj.x[1:], traj.f_r, traj.e_r, traj.f_p, traj.e_p])
-    first = ",".join(["%.17g"] * head.size + [""] * (2 * n_r + 2 * n_p)) + "\n"
-    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
-    return (",".join(_traj_header(n_s, n_r, n_p)) + "\n"
-            + first % tuple(head.tolist())
-            + (row * traj.steps) % tuple(body.ravel().tolist()))
+    return "".join(trajectory_csv_blocks(traj))
 
 
 def save_trajectory(traj, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trajectory_to_csv(traj))
+        fh.writelines(trajectory_csv_blocks(traj))  # one block at a time
 
 
 def _parse_rows(lines, width):
@@ -277,48 +295,87 @@ def _first_bad_row(lines, width):
     return lo, ValueError("malformed row")
 
 
-def trajectory_from_csv(text):
-    """Parse TrajectoryFileV1 text; FileFormatError on any deviation from the format."""
-    lines = text.rstrip("\r\n").splitlines()
-    if not lines:
+def _content_lines(fh):
+    """Count an open text file's lines up to its last non-blank one, then rewind it.
+
+    The line ends after that line are not counted: blank lines may trail the rows.
+    """
+    lines = content = 0
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        end = len(chunk.rstrip("\n"))
+        if end:
+            content = lines + chunk.count("\n", 0, end) + 1
+        lines += chunk.count("\n")
+    fh.seek(0)
+    return content
+
+
+def _read_trajectory(fh):
+    """Parse TrajectoryFileV1 from an open text file, one row block at a time.
+
+    The file must be read with universal newlines: every line then ends in a
+    line feed, and a blank line is a lone one.
+    """
+    count = _content_lines(fh)
+    if not count:
         raise FileFormatError("empty trajectory file")
-    names = lines[0].split(",")
+    header = fh.readline().rstrip("\n")
+    names = header.split(",")
     counts = Counter(name.split("_")[0] for name in names)
     n_s, n_r, n_p = counts["x"], counts["fR"], counts["fP"]
     if names != _traj_header(n_s, n_r, n_p):
         raise FileFormatError(
             f"trajectory header must be exactly {','.join(_traj_header(n_s, n_r, n_p))!r}, "
-            f"got {lines[0]!r}")
-    if len(lines) < 3:
+            f"got {header!r}")
+    if count < 3:
         raise FileFormatError("trajectory needs at least two grid nodes")
-    if "" in lines:
-        raise FileFormatError(f"row {lines.index('') + 1} is blank")
-    width = len(names)
+    width, steps = len(names), count - 2
 
-    fields = lines[1].split(",")
+    line = fh.readline()
+    if line == "\n":
+        raise FileFormatError("row 2 is blank")
+    fields = line.rstrip("\n").split(",")
     if len(fields) != width:
         raise FileFormatError(f"row 2 has {len(fields)} fields, expected {width}")
     if any(fields[1 + n_s:]):
         raise FileFormatError("row 2: channel fields must be blank on the first row")
     try:
-        head = np.loadtxt(lines[1:2], delimiter=",", comments=None, usecols=range(1 + n_s),
-                          ndmin=1)
+        head = np.loadtxt([line], delimiter=",", comments=None, usecols=range(1 + n_s), ndmin=1)
     except ValueError as exc:
         raise _row_error(2, exc) from exc
-    try:
-        body = _parse_rows(lines[2:], width)
-    except ValueError as exc:
-        index, reason = _first_bad_row(lines[2:], width)
-        raise _row_error(index + 3, reason) from exc
 
-    t, x, f_r, e_r, f_p, e_p = np.split(body, np.cumsum([1, n_s, n_r, n_r, n_p]), axis=1)
+    # the Trajectory's own arrays, allocated once and filled one row block at a time
+    t, x = np.empty(steps + 1), np.empty((steps + 1, n_s))
+    t[0], x[0] = head[0], head[1:]
+    channels = [np.empty((steps, size)) for size in (n_r, n_r, n_p, n_p)]
+    body = [t[1:, None], x[1:], *channels]  # the writer's body columns, as views
+    columns = np.cumsum([0, 1, n_s, n_r, n_r, n_p, n_p])
+    for rows in _row_blocks(steps, width):
+        lines = list(islice(fh, rows.stop - rows.start))
+        if "\n" in lines:
+            blank = rows.start + lines.index("\n") + 3
+            raise FileFormatError(f"row {blank} is blank")
+        try:
+            block = _parse_rows(lines, width)
+        except ValueError as exc:
+            index, reason = _first_bad_row(lines, width)
+            raise _row_error(rows.start + index + 3, reason) from exc
+        for a, lo, hi in zip(body, columns[:-1], columns[1:]):
+            a[rows] = block[:, lo:hi]
     try:
-        return Trajectory(t=np.concatenate([head[:1], t[:, 0]]), x=np.vstack([head[1:], x]),
-                          f_r=f_r, e_r=e_r, f_p=f_p, e_p=e_p)
+        return Trajectory(t, x, *channels)
     except StructureError as exc:
         raise FileFormatError(f"inconsistent trajectory data: {exc}") from exc
 
 
+def trajectory_from_csv(text):
+    """Parse TrajectoryFileV1 text; FileFormatError on any deviation from the format."""
+    return _read_trajectory(io.StringIO(text, newline=None))
+
+
 def load_trajectory(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return trajectory_from_csv(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_trajectory(fh)
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc

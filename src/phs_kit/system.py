@@ -224,25 +224,25 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.t, dtype=float))
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if t.ndim != 1 or t.size < 2:
             raise StructureError("time grid needs at least two nodes")
         m = t.size - 1
-        if x.shape[0] != m + 1:
-            raise StructureError(f"x must have {m + 1} rows, got {x.shape[0]}")
-        steps = np.diff(t)
-        dt = steps[0]
+        dt = t[1] - t[0]
         # 1e-12*dt plus the float-representation floor of the node values
-        tol = 1e-12 * abs(dt) + 8.0 * np.finfo(float).eps * float(np.max(np.abs(t)))
-        if dt <= 0 or np.max(np.abs(steps - dt)) > tol:
+        tol = 1e-12 * abs(dt) + 8.0 * np.finfo(float).eps * _abs_max(t)
+        # the largest deviation of a step from dt, in row blocks
+        spread = np.max([_abs_max(np.diff(t[rows.start:rows.stop + 1]) - dt)
+                         for rows in _row_blocks(m, 1)])
+        if dt <= 0 or spread > tol:
             raise StructureError("time grid must be uniform and increasing (to 1e-12*dt)")
-        arrays = {"t": t, "x": x}
-        for name in ("f_r", "e_r", "f_p", "e_p"):
+        arrays = {"t": t}
+        for name in ("x", "f_r", "e_r", "f_p", "e_p"):
+            rows, kind = (m + 1, "node") if name == "x" else (m, "interval")
             a = np.asarray(getattr(self, name), dtype=float)
-            a = a[:, None] if a.ndim == 1 else a  # one channel; else one row per interval
-            a = a if a.size else np.zeros((m, 0))
-            if a.ndim != 2 or a.shape[0] != m:
-                raise StructureError(f"{name} must have {m} interval rows, got shape {a.shape}")
+            a = a[:, None] if a.ndim == 1 else a  # one state or channel; else one row per sample
+            a = a if a.size else np.zeros((rows, 0))
+            if a.ndim != 2 or a.shape[0] != rows:
+                raise StructureError(f"{name} must have {rows} {kind} rows, got shape {a.shape}")
             arrays[name] = a
         if arrays["f_r"].shape != arrays["e_r"].shape:
             raise StructureError("f_r and e_r must have equal shape")

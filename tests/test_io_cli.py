@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from phs_kit.fileio import (
     _sparse_matrix,
     system_from_dict,
     system_to_dict,
+    trajectory_csv_blocks,
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from phs_kit.system import _row_blocks
 
 
 @pytest.fixture
@@ -332,6 +335,87 @@ def test_trajectory_csv_rejects_malformed():
         trajectory_from_csv(bad["blank body field"])
 
 
+WIDE = (129, 32, 33)  # n_s, n_r, n_p: 260 columns, so a row block holds about 60 rows
+
+
+def _wide_trajectory(steps=300):
+    rng = np.random.default_rng(steps)
+    n_s, n_r, n_p = WIDE
+    return pk.Trajectory(t=1e-3 * np.arange(steps + 1), x=rng.standard_normal((steps + 1, n_s)),
+                         f_r=rng.standard_normal((steps, n_r)), e_r=rng.standard_normal((steps, n_r)),
+                         f_p=rng.standard_normal((steps, n_p)), e_p=rng.standard_normal((steps, n_p)))
+
+
+def test_wide_trajectory_round_trips_across_row_blocks(tmp_path):
+    traj = _wide_trajectory()
+    blocks = _row_blocks(traj.steps, 1 + WIDE[0] + 2 * WIDE[1] + 2 * WIDE[2])
+    assert len(blocks) == 5 and len(list(trajectory_csv_blocks(traj))) == 1 + len(blocks)
+    path = tmp_path / "wide.csv"
+    pk.save_trajectory(traj, path)
+    assert path.read_bytes() == trajectory_to_csv(traj).encode()
+    _assert_bit_identical(pk.load_trajectory(path), traj)
+
+
+@pytest.mark.parametrize("defect", ["bad field", "field count", "blank line"])
+def test_wide_trajectory_reports_the_file_row_of_a_defect_in_a_later_block(defect):
+    traj = _wide_trajectory()
+    lines = trajectory_to_csv(traj).splitlines(keepends=True)
+    later = _row_blocks(traj.steps, 1 + WIDE[0] + 2 * WIDE[1] + 2 * WIDE[2])[3]
+    for k in (later.start, later.start + 7, later.stop - 1):  # interval k is on file row k + 3
+        bad, fields = list(lines), lines[k + 2].rstrip("\n").split(",")
+        if defect == "bad field":
+            fields[5] = "zebra"
+        elif defect == "field count":
+            fields.pop()
+        bad[k + 2] = ",".join(fields) + "\n"
+        if defect == "blank line":
+            bad.insert(k + 2, "\n")
+        with pytest.raises(FileFormatError, match=rf"^row {k + 3}\b"):
+            trajectory_from_csv("".join(bad))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_wide_trajectory_reads_trailing_blank_lines_across_blocks(tmp_path, newline):
+    traj = _wide_trajectory()
+    # more blank lines than a row block holds, and more bytes than one read of the row count
+    text = trajectory_to_csv(traj).replace("\n", newline) + newline * 70_000
+    _assert_bit_identical(trajectory_from_csv(text), traj)
+    path = tmp_path / "trailing.csv"
+    path.write_bytes(text.encode())
+    _assert_bit_identical(pk.load_trajectory(path), traj)
+
+
+def _codec_peaks(path, steps):
+    """tracemalloc peaks (bytes) of saving and of loading a 2-state, 1-port trajectory.
+
+    The load peak leaves out the arrays of the trajectory it returns.
+    """
+    rng = np.random.default_rng(steps)
+    traj = pk.Trajectory(t=1e-3 * np.arange(steps + 1), x=rng.standard_normal((steps + 1, 2)),
+                         f_r=[], e_r=[], f_p=rng.standard_normal(steps), e_p=rng.standard_normal(steps))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pk.save_trajectory(traj, path)
+        save = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = pk.load_trajectory(path)
+        arrays = sum(getattr(back, name).nbytes for name in ("t", "x", "f_r", "e_r", "f_p", "e_p"))
+        load = tracemalloc.get_traced_memory()[1] - base - arrays
+    finally:
+        tracemalloc.stop()
+    _assert_bit_identical(back, traj)
+    return save, load
+
+
+def test_trajectory_codec_peak_does_not_grow_with_length(tmp_path):
+    (save_short, load_short), (save_long, load_long) = (
+        _codec_peaks(tmp_path / f"{steps}.csv", steps) for steps in (20_000, 80_000))
+    assert save_long <= 1.25 * save_short, (save_short, save_long)
+    assert load_long <= 1.25 * load_short, (load_short, load_long)
+
+
 def test_cli_validate_pass_and_fail(runner, tmp_path):
     path = tmp_path / "osc.json"
     result = runner.invoke(main, ["example", "oscillator", "--out", str(path)])
@@ -582,6 +666,27 @@ def test_cli_invalid_system_exits_1_for_every_command(runner, tmp_path):
         runner.invoke(main, ["check", str(bad), str(traj_path)]).exit_code,
     ]
     assert codes == [1, 1, 1]
+
+
+def test_cli_undecodable_files_exit_2(runner, tmp_path):
+    good = tmp_path / "damped.json"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(good)])
+    traj_path = tmp_path / "traj.csv"
+    runner.invoke(main, ["simulate", str(good), "--x0", "1,0", "--t1", "0.1",
+                         "--dt", "1e-2", "--out", str(traj_path)])
+    bad_sys = tmp_path / "bad.json"
+    bad_sys.write_bytes(good.read_bytes().replace(b'"metadata"', b'"metadata\xe9"', 1))
+    bad_traj = tmp_path / "bad.csv"
+    bad_traj.write_bytes(b"t,x_0,x_1\n0,1,0\n0.001,0.9\xe9,0\n")
+    for args in (["validate", str(bad_sys)], ["simulate", str(bad_sys), "--t1", "0.1"],
+                 ["check", str(bad_sys), str(traj_path)], ["check", str(good), str(bad_traj)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.exception)
+        assert "parse error" in result.stderr and "decode" in result.stderr
+    with pytest.raises(FileFormatError, match="decode"):
+        pk.load_system(bad_sys)
+    with pytest.raises(FileFormatError, match="decode"):
+        pk.load_trajectory(bad_traj)
 
 
 def test_cli_malformed_relation_or_trajectory_header_exits_2(runner, tmp_path):

@@ -100,6 +100,16 @@ def test_trajectory_refuses_channel_rows_that_do_not_match_the_grid():
     assert column.f_p.shape == (4, 0)
 
 
+def test_trajectory_reads_a_flat_x_as_one_state_column():
+    traj = pk.Trajectory(t=[0, 1, 2], x=[1, 2, 3], f_p=[0.5, 0.5], e_p=[1, 1], f_r=[], e_r=[])
+    assert traj.x.shape == (3, 1) and traj.x[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert traj.n_s == 1 and traj.f_p.shape == traj.e_p.shape == (2, 1)
+    with pytest.raises(pk.StructureError, match="3 node rows"):
+        pk.Trajectory(t=[0, 1, 2], x=[1, 2], f_p=[], e_p=[], f_r=[], e_r=[])
+    with pytest.raises(pk.StructureError, match="3 node rows"):
+        pk.Trajectory(t=[0, 1, 2], x=np.zeros((3, 1, 1)), f_p=[], e_p=[], f_r=[], e_r=[])
+
+
 def test_trajectory_channel_magnitude():
     t = np.array([0.0, 0.5, 1.0])
     traj = pk.Trajectory(t=t, x=np.array([[1.0], [2.0], [-3.0]]),

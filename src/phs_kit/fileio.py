@@ -19,13 +19,16 @@ digits, so write -> read round-trips bit-identically.
 
 Trajectory files are written and read one row block (``system._row_blocks``)
 at a time, never as the whole text: the reader counts the lines first and
-parses each block into arrays allocated once.  A malformed row is reported
-by its row number in the file.
+parses each block into arrays allocated once.  A pipe is copied to a
+temporary file first, so the count can rewind it.  A malformed row is
+reported by its row number in the file.
 """
 
 import io
 import json
 import re
+import shutil
+import tempfile
 from collections import Counter
 from itertools import islice
 
@@ -314,8 +317,14 @@ def _read_trajectory(fh):
     """Parse TrajectoryFileV1 from an open text file, one row block at a time.
 
     The file must be read with universal newlines: every line then ends in a
-    line feed, and a blank line is a lone one.
+    line feed, and a blank line is a lone one.  A file that cannot be rewound
+    (a pipe) is first copied to a temporary file, as the line count rewinds.
     """
+    if not fh.seekable():
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            shutil.copyfileobj(fh, spool)
+            spool.seek(0)
+            return _read_trajectory(spool)
     count = _content_lines(fh)
     if not count:
         raise FileFormatError("empty trajectory file")
@@ -370,7 +379,10 @@ def _read_trajectory(fh):
 
 def trajectory_from_csv(text):
     """Parse TrajectoryFileV1 text; FileFormatError on any deviation from the format."""
-    return _read_trajectory(io.StringIO(text, newline=None))
+    # UTF-8 bytes decoded a chunk at a time hold one byte per character; an
+    # io.StringIO would hold four
+    raw = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _read_trajectory(io.TextIOWrapper(raw, encoding="utf-8", errors="surrogatepass"))
 
 
 def load_trajectory(path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -385,6 +386,39 @@ def test_wide_trajectory_reads_trailing_blank_lines_across_blocks(tmp_path, newl
     _assert_bit_identical(pk.load_trajectory(path), traj)
 
 
+def test_trajectory_from_csv_holds_the_text_about_once():
+    # the parse holds the text's UTF-8 bytes and a row block, not a character buffer of the text
+    rng = np.random.default_rng(0)
+    traj = pk.Trajectory(t=1e-3 * np.arange(80_001), x=rng.standard_normal((80_001, 2)),
+                         f_r=[], e_r=[], f_p=rng.standard_normal(80_000), e_p=rng.standard_normal(80_000))
+    text = trajectory_to_csv(traj)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = trajectory_from_csv(text)
+        arrays = sum(getattr(back, name).nbytes for name in ("t", "x", "f_r", "e_r", "f_p", "e_p"))
+        peak = tracemalloc.get_traced_memory()[1] - base - arrays
+    finally:
+        tracemalloc.stop()
+    _assert_bit_identical(back, traj)
+    assert peak <= 1.5 * len(text), (peak, len(text))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_wide_trajectory_reads_from_a_pipe(tmp_path):
+    traj = _wide_trajectory()
+    text = trajectory_to_csv(traj)  # many times the pipe's buffer, so the writer blocks
+    fifo = tmp_path / "wide.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    try:
+        back = pk.load_trajectory(fifo)
+    finally:
+        writer.join()
+    _assert_bit_identical(back, traj)
+
+
 def _codec_peaks(path, steps):
     """tracemalloc peaks (bytes) of saving and of loading a 2-state, 1-port trajectory.
 
@@ -687,6 +721,27 @@ def test_cli_undecodable_files_exit_2(runner, tmp_path):
         pk.load_system(bad_sys)
     with pytest.raises(FileFormatError, match="decode"):
         pk.load_trajectory(bad_traj)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_cli_check_reads_a_piped_trajectory(runner, tmp_path):
+    # phs-kit simulate damped.json ... | phs-kit check damped.json /dev/stdin
+    system = tmp_path / "damped.json"
+    runner.invoke(main, ["example", "damped_oscillator", "--out", str(system)])
+    args = ["--x0", "1,0", "--t1", "2", "--dt", "1e-3"]
+    cli = [sys.executable, "-c", "from phs_kit.cli import main; main()"]
+    env = {**os.environ, "PYTHONPATH": str(Path(pk.__file__).resolve().parents[1])}
+    simulate = subprocess.Popen(cli + ["simulate", str(system), *args], stdout=subprocess.PIPE,
+                                env=env)
+    check = subprocess.run(cli + ["check", str(system), "/dev/stdin"], stdin=simulate.stdout,
+                           capture_output=True, text=True, env=env)
+    simulate.stdout.close()
+    assert simulate.wait() == 0
+    assert check.returncode == 0, check.stderr
+    traj_path = tmp_path / "traj.csv"
+    runner.invoke(main, ["simulate", str(system), *args, "--out", str(traj_path)])
+    from_file = runner.invoke(main, ["check", str(system), str(traj_path)])
+    assert json.loads(check.stdout) == json.loads(from_file.output)
 
 
 def test_cli_malformed_relation_or_trajectory_header_exits_2(runner, tmp_path):

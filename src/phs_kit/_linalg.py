@@ -1,7 +1,11 @@
-"""Small shared linear-algebra helpers (dense views, numerical rank, subspaces, a difference Jacobian)."""
+"""Small shared linear-algebra helpers (dense views, numerical rank, subspaces, a difference Jacobian).
+
+``scipy.sparse`` is imported on first use: only a sparse structure needs it.
+"""
+
+import sys
 
 import numpy as np
-import scipy.sparse
 
 EPS = np.finfo(float).eps
 
@@ -14,13 +18,23 @@ def as_matrix(a, name="matrix"):
     return m
 
 
+def issparse(a):
+    """True iff ``a`` is a scipy.sparse array or matrix, importing nothing.
+
+    No sparse array can exist while ``scipy.sparse`` is not yet imported, so
+    then the answer is False without loading it.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
+
+
 def dense(a):
     """``a`` as a dense array: a sparse array is densified, anything else returned as is.
 
     The one way a reader that needs dense Dirac blocks (an SVD, a LAPACK
     factorization, a small validation) gets them from a sparse structure.
     """
-    return a.toarray() if scipy.sparse.issparse(a) else a
+    return a.toarray() if issparse(a) else a
 
 
 def csr_from_coo(shape, rows, cols, values):
@@ -28,6 +42,8 @@ def csr_from_coo(shape, rows, cols, values):
 
     Its indices are int32, as in the CSR array scipy builds from a dense one.
     """
+    import scipy.sparse
+
     index = np.int32 if max(*shape, len(values)) < 2**31 else np.int64
     rows, cols = np.asarray(rows, dtype=index), np.asarray(cols, dtype=index)
     return scipy.sparse.coo_array((values, (rows, cols)), shape=shape).tocsr()

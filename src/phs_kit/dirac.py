@@ -10,9 +10,13 @@ image form im[K; L].  A structure in kernel form is valid iff rank [F, G] = n
 and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
 
 A kernel form keeps F and G as given: dense arrays, or scipy.sparse arrays
-(stored as CSR), which is how the discretizers build them.  Its CSR view is
-the form every product with bond data uses; the few readers that need dense
-blocks (the SVDs, small validations) densify them with ``_linalg.dense``.
+(stored as CSR), which is how the discretizers build them.  Products with
+bond data (``DiracKernelRep.residual``) multiply dense blocks as they are
+below ``SPARSE_MIN_N`` bonds, and go through the CSR view of F and G for a
+sparse block or from ``SPARSE_MIN_N`` bonds on; the few readers that need
+dense blocks (the SVDs, small validations) densify them with
+``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so a small
+dense structure never loads it.
 
 Validation decides both conditions from n x n products, never from an SVD of
 [F, G]: the skew defect from F G^T, the rank from the smallest eigenvalue of
@@ -26,9 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
-from ._linalg import EPS, as_matrix, dense, subspace_bases
+from ._linalg import EPS, as_matrix, dense, issparse, subspace_bases
 from .errors import StructureError
 
 __all__ = [
@@ -89,7 +92,9 @@ class BondVector:
 
 def _stored_block(a, name):
     """A sparse block as a float CSR array, anything else as a dense 2-D float array."""
-    if scipy.sparse.issparse(a):
+    if issparse(a):
+        import scipy.sparse
+
         return scipy.sparse.csr_array(a, dtype=float)
     return as_matrix(a, name)
 
@@ -124,20 +129,39 @@ class DiracKernelRep:
 
     @cached_property
     def csr(self):
-        """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use."""
-        return tuple(b if scipy.sparse.issparse(b) else scipy.sparse.csr_array(b) for b in (self.F, self.G))
+        """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use.
+
+        ``residual`` multiplies through this view for a sparse block or from
+        SPARSE_MIN_N bonds on, as do validation from SPARSE_MIN_N bonds and the
+        Newton step Jacobian.  Reading it imports ``scipy.sparse``.
+        """
+        import scipy.sparse
+
+        return tuple(b if issparse(b) else scipy.sparse.csr_array(b) for b in (self.F, self.G))
+
+    @cached_property
+    def _product_blocks(self):
+        """(F, G) as ``residual`` multiplies them: dense blocks below SPARSE_MIN_N bonds, else the CSR view.
+
+        At a few bonds one dense product costs a fraction of a CSR dispatch;
+        from SPARSE_MIN_N bonds on a dense product is O(n^2) per bond vector.
+        """
+        if self.n < SPARSE_MIN_N and not (issparse(self.F) or issparse(self.G)):
+            return self.F, self.G
+        return self.csr
 
     def residual(self, f, e):
-        """F f + G e through the CSR view: zero iff the bond vector (f, e) lies in ker[F, G].
+        """F f + G e: zero iff the bond vector (f, e) lies in ker[F, G].
 
         ``f`` and ``e`` have shape (n,), or (m, n) with one bond vector per row;
-        the sparse products read a batch stored column-major in place.
+        the sparse products read a batch stored column-major in place.  Small
+        dense blocks are multiplied as they are, any other through the CSR view.
         """
         f, e = np.asarray(f, dtype=float), np.asarray(e, dtype=float)
         if f.ndim not in (1, 2) or f.shape[-1] != self.n or e.shape != f.shape:
             raise StructureError(f"flows and efforts must be rows of width n = {self.n}, "
                                  f"got shapes {f.shape} and {e.shape}")
-        F, G = self.csr
+        F, G = self._product_blocks
         return F @ f + G @ e if f.ndim == 1 else (F @ f.T + G @ e.T).T
 
     # column blocks

@@ -5,7 +5,8 @@ exact arithmetic (summation by parts on staggered grids), so the Dirac
 conditions are met to roundoff for every resolution, and the discrete power
 balance grad H(x)·xdot = <f_R, e_R> + <f_P, e_P> is an algebraic identity.
 F and G are assembled from index arrays as sparse CSR arrays: no n x n dense
-array is formed at any resolution.
+array is formed at any resolution.  ``scipy.sparse`` is imported when a
+discretizer first runs, not with the package.
 """
 
 import math
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
-import scipy.sparse
 
 from ._linalg import EPS, csr_from_coo
 from .dirac import DiracKernelRep
@@ -181,6 +181,8 @@ class StringHamiltonian(GeneralHamiltonian):
         """
         if x is None:
             return None
+        import scipy.sparse
+
         e, force = np.asarray(x, dtype=float)[self.masses.size:], self.spec.force
         if isinstance(force, NamedForce):
             slope = force.slope(e)
@@ -303,6 +305,8 @@ def diffusion_system(spec, causality=("effort", "effort")):
     sys : PhsSystem
     grid : dict with cells, faces, h, a_face
     """
+    import scipy.sparse
+
     grid = diffusion_grid(spec)
     n_c = spec.N
     n_f = spec.N - 1

@@ -33,9 +33,8 @@ from collections import Counter
 from itertools import islice
 
 import numpy as np
-import scipy.sparse
 
-from ._linalg import csr_from_coo
+from ._linalg import csr_from_coo, issparse
 from .dirac import DiracKernelRep
 from .discretize import StringHamiltonian
 from .energy import LinearGraph, Parametric, QuadraticHamiltonian
@@ -63,7 +62,7 @@ class FileFormatError(ValueError):
 
 def _matrix_doc(m):
     """A matrix's file form: COO triplets for a sparse array, else a list of rows."""
-    if not scipy.sparse.issparse(m):
+    if not issparse(m):
         return m.tolist()
     coo = m.tocoo()
     return {"shape": list(coo.shape), "row": coo.row.tolist(), "col": coo.col.tolist(),

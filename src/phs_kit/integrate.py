@@ -23,7 +23,9 @@ batches, and a step that fails it, or is not finite, is Newton-solved from its
 predictor before the recurrence resumes.  A certified step counts as one Newton
 iteration.  Other systems apply the sparse view of the Dirac blocks and
 factor their CSC Jacobian with SuperLU, whose solves give the condition
-estimate through ``onenormest`` with t=1: no random vectors.
+estimate through ``onenormest`` with t=1: no random vectors.  ``scipy.linalg``
+and ``scipy.sparse`` are imported on first use: an affine step map of a small
+dense structure never loads ``scipy.sparse``.
 """
 
 import math
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
-from ._linalg import EPS, _fd_jacobian, dense, subspace_bases
+from ._linalg import EPS, _fd_jacobian, dense, issparse, subspace_bases
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory, _row_blocks
@@ -170,6 +171,8 @@ class _StepMap:
         return sys.dirac.residual(flows, efforts)
 
     def jacobian(self, z):
+        import scipy.sparse
+
         n_s, x1 = self.x0.size, z[: self.x0.size]
         F, G = self.sys.dirac.csr
         j_g = scipy.sparse.csr_array(self.gradient_jacobian(x1))
@@ -295,9 +298,10 @@ class _NewtonSolver:
 
     def factor(self, jac):
         import scipy.linalg  # imported on use, as is scipy.sparse.linalg: not at CLI start-up
-        from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-        sparse = scipy.sparse.issparse(jac)
+        sparse = issparse(jac)
+        if sparse:  # a dense Jacobian never loads scipy.sparse
+            from scipy.sparse.linalg import LinearOperator, onenormest, splu
         try:
             if sparse and not np.all(np.isfinite(jac.data)):
                 raise ValueError("array must not contain infs or NaNs")
@@ -319,6 +323,8 @@ class _NewtonSolver:
         self.rebuilds += 1
 
     def _getrs(self, r):
+        import scipy.linalg  # loaded by factor; binds the name scipy here
+
         # scipy.linalg.lu_solve without its per-call checks; r is checked finite first
         dz, info = scipy.linalg.lapack.dgetrs(*self.lu, r)
         if info != 0:

@@ -227,9 +227,14 @@ class Trajectory:
         if t.ndim != 1 or t.size < 2:
             raise StructureError("time grid needs at least two nodes")
         m = t.size - 1
+        # NaN and inf pass the comparisons below, so they are refused first
+        scale = _abs_max(t)
+        if not np.isfinite(scale):
+            bad = int(np.flatnonzero(~np.isfinite(t))[0])
+            raise StructureError(f"time grid must be finite, got t[{bad}] = {t[bad]}")
         dt = t[1] - t[0]
         # 1e-12*dt plus the float-representation floor of the node values
-        tol = 1e-12 * abs(dt) + 8.0 * np.finfo(float).eps * _abs_max(t)
+        tol = 1e-12 * abs(dt) + 8.0 * np.finfo(float).eps * scale
         # the largest deviation of a step from dt, in row blocks
         spread = np.max([_abs_max(np.diff(t[rows.start:rows.stop + 1]) - dt)
                          for rows in _row_blocks(m, 1)])

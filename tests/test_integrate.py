@@ -685,6 +685,27 @@ def test_dense_and_sparse_structures_give_equal_trajectories(case, scheme):
     assert dense_run.metadata == sparse_run.metadata
 
 
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+def test_dense_stored_structure_from_sparse_min_n_keeps_sparse_products(scheme):
+    # a dense-list file of a large string: dense residual products would cost O(n^2) per
+    # bond vector, several times the CSR products at N = 512
+    string, grid = pk.make_example("string", N=128, force="tanh")
+    assert string.n >= pk.dirac.SPARSE_MIN_N
+    bump = np.concatenate([np.zeros(129), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(128) + 0.5))])
+    runs = []
+    for form in (lambda a: a.toarray(), scipy.sparse.csr_array):
+        d = string.dirac
+        rep = pk.DiracKernelRep(F=form(d.F), G=form(d.G), n_s=d.n_s, n_r=d.n_r, n_p=d.n_p)
+        assert all(scipy.sparse.issparse(block) for block in rep._product_blocks)
+        system = pk.assemble(rep, string.ham, string.res, string.causality)
+        inputs = {1: lambda t: 0.3 * math.sin(2.0 * t)}
+        runs.append(simulate(system, bump, inputs, (0.0, 0.5), SchemeConfig(scheme, dt=1e-2)))
+    dense_run, sparse_run = runs
+    for name in ("x", "f_r", "e_r", "f_p", "e_p"):
+        assert np.array_equal(getattr(dense_run, name), getattr(sparse_run, name))
+    assert dense_run.metadata == sparse_run.metadata
+
+
 def test_channel_build_holds_no_trajectory_sized_temporary():
     # diffusion N = 256 over 5000 steps stores 30.8 MB; building the channels
     # in one piece held the midpoint states and -(f_R @ R.T) besides, a

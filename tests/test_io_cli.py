@@ -130,7 +130,7 @@ def test_callable_force_string_refuses_save(tmp_path):
 def test_cli_import_leaves_scipy_integrate_unloaded():
     code = ("import phs_kit.cli, sys; "
             "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
-            "'scipy.sparse.linalg') if m in sys.modules])")
+            "'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])")
     src = str(Path(pk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -158,6 +158,41 @@ def test_certify_pipeline_leaves_scipy_integrate_unloaded(tmp_path, forced):
     assert done.stdout.strip() == "[]"
     smooth = pk.mollify(traj, pk.MollifierConfig(n_smooth=8))
     assert np.array_equal(pk.load_trajectory(tmp_path / "smooth.csv").x, smooth.x)
+
+
+SMALL_SYSTEM_PATH = """
+import sys
+import numpy as np
+import phs_kit as pk
+
+folder = sys.argv[1]
+for name, build in (("forced", pk.forced_oscillator), ("damped", pk.damped_oscillator)):
+    system = build()
+    assert pk.validate_kernel(system.dirac).passed
+    inputs = {0: lambda t: np.sign(np.sin(5.0 * t))} if system.n_p else None
+    for scheme in ("implicit_midpoint", "discrete_gradient"):
+        traj = pk.simulate(system, [0.3, -0.2], inputs, (0.0, 1.0), pk.SchemeConfig(scheme, dt=1e-3))
+        for audit in (pk.weak_residual, pk.energy_report, pk.strong_trajectory_audit):
+            audit(system, traj)
+        smooth = pk.mollify(traj, pk.MollifierConfig(n_smooth=8))
+        pk.save_trajectory(smooth, f"{folder}/{name}.csv")
+        assert np.array_equal(pk.load_trajectory(f"{folder}/{name}.csv").x, smooth.x)
+    pk.save_system(system, f"{folder}/{name}.json")
+    assert pk.load_system(f"{folder}/{name}.json").dirac.F.tolist() == system.dirac.F.tolist()
+small = "scipy.sparse" in sys.modules
+string, _ = pk.make_example("string", N=8)
+print(small, string.n, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_small_system_path_leaves_scipy_sparse_unloaded(tmp_path):
+    # build, validate, simulate, audit, mollify and save/load small dense systems in a fresh
+    # interpreter: none of it loads scipy.sparse, and the string still builds afterwards
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", SMALL_SYSTEM_PATH, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "19", "True"]
 
 
 def test_system_dict_rejects_garbage():
@@ -334,6 +369,12 @@ def test_trajectory_csv_rejects_malformed():
             trajectory_from_csv(text)
     with pytest.raises(FileFormatError, match="row 4"):
         trajectory_from_csv(bad["blank body field"])
+
+
+@pytest.mark.parametrize("node", ["nan", "inf", "-inf"])
+def test_trajectory_csv_refuses_a_node_that_is_not_finite(node):
+    with pytest.raises(FileFormatError, match="time grid must be finite"):
+        trajectory_from_csv(f"t,x_0\n0,1\n{node},2\n2,3\n")
 
 
 WIDE = (129, 32, 33)  # n_s, n_r, n_p: 260 columns, so a row block holds about 60 rows
@@ -580,6 +621,15 @@ def test_cli_check_energy_mode_dg(runner, tmp_path):
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["energy"]["max_abs_gap"] <= 1e-9
+
+
+def test_cli_check_refuses_a_trajectory_node_that_is_not_finite(runner, tmp_path):
+    sys_path, traj_path = tmp_path / "osc.json", tmp_path / "traj.csv"
+    runner.invoke(main, ["example", "oscillator", "--out", str(sys_path)])
+    traj_path.write_text("t,x_0,x_1\n0,1,0\nnan,1,0\n0.2,1,0\n")
+    result = runner.invoke(main, ["check", str(sys_path), str(traj_path)])
+    assert result.exit_code == 2
+    assert result.stdout == "" and "time grid must be finite" in result.stderr
 
 
 def test_cli_check_shape_mismatch_exit_2(runner, tmp_path):

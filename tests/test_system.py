@@ -86,6 +86,13 @@ def test_trajectory_shape_checks(oscillator):
         pk.Trajectory(t=[0.0, 0.1, 0.3], x=np.zeros((3, 2)), f_r=[], e_r=[], f_p=[], e_p=[])
 
 
+@pytest.mark.parametrize("t", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]])
+def test_trajectory_refuses_a_time_grid_that_is_not_finite(t):
+    # NaN fails no comparison, and an inf node makes the spread tolerance inf
+    with pytest.raises(pk.StructureError, match="time grid must be finite"):
+        pk.Trajectory(t=t, x=[1, 2, 3], f_r=[], e_r=[], f_p=[], e_p=[])
+
+
 def test_trajectory_refuses_channel_rows_that_do_not_match_the_grid():
     t, x = np.arange(5.0), np.zeros((5, 1))
     wide = np.arange(8.0).reshape(2, 4)  # 8 values, but 2 rows on a 4-interval grid

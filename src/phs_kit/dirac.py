@@ -20,9 +20,11 @@ dense structure never loads it.
 
 Validation decides both conditions from n x n products, never from an SVD of
 [F, G]: the skew defect from F G^T, the rank from the smallest eigenvalue of
-the Gram matrix F F^T + G G^T.  Below ``SPARSE_MIN_N`` bonds, or for blocks
-that are not sparse, the products and the eigenvalues are dense; otherwise they
-use the CSR view of F and G, SuperLU and shift-invert Lanczos.
+the Gram matrix F F^T + G G^T.  ``DiracKernelRep.sparse_linalg`` decides, for
+validation and for the step Jacobians of ``integrate`` alike: below
+``SPARSE_MIN_N`` bonds, or for blocks that are not sparse, the products and
+the eigenvalues are dense; otherwise they use the CSR view of F and G, SuperLU
+and shift-invert Lanczos.
 """
 
 import math
@@ -50,9 +52,10 @@ __all__ = [
     "extrapolation_split",
 ]
 
-# Validation goes sparse from SPARSE_MIN_N bonds (the measured crossover on the
-# string and diffusion), unless F and G hold more than SPARSE_MAX_ROW_NNZ
-# nonzeros per row: on dense blocks CSR products and SuperLU lose to LAPACK.
+# Validation and step Jacobians go sparse from SPARSE_MIN_N bonds (the measured
+# crossover on the string and diffusion), unless F and G hold more than
+# SPARSE_MAX_ROW_NNZ nonzeros per row: on dense blocks CSR products and SuperLU
+# lose to dense LAPACK (``DiracKernelRep.sparse_linalg``).
 SPARSE_MIN_N = 200
 SPARSE_MAX_ROW_NNZ = 16
 
@@ -132,12 +135,22 @@ class DiracKernelRep:
         """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use.
 
         ``residual`` multiplies through this view for a sparse block or from
-        SPARSE_MIN_N bonds on, as do validation from SPARSE_MIN_N bonds and the
-        Newton step Jacobian.  Reading it imports ``scipy.sparse``.
+        SPARSE_MIN_N bonds on, as do validation and the step Jacobians when
+        ``sparse_linalg`` holds.  Reading it imports ``scipy.sparse``.
         """
         import scipy.sparse
 
         return tuple(b if issparse(b) else scipy.sparse.csr_array(b) for b in (self.F, self.G))
+
+    @cached_property
+    def sparse_linalg(self):
+        """True iff validation and step Jacobians use the CSR view, SuperLU and Lanczos.
+
+        From SPARSE_MIN_N bonds on, unless F and G hold more than
+        SPARSE_MAX_ROW_NNZ nonzeros per row.  It counts nonzeros, not the stored
+        form, so dense and sparse copies of one structure factor alike.
+        """
+        return self.n >= SPARSE_MIN_N and sum(b.nnz for b in self.csr) <= SPARSE_MAX_ROW_NNZ * self.n
 
     @cached_property
     def _product_blocks(self):
@@ -301,8 +314,7 @@ def validate_kernel(rep, tol=1e-10):
     """
     if not tol > 0:
         raise StructureError("tol must be positive")
-    n = rep.n
-    sparse = n >= SPARSE_MIN_N and sum(block.nnz for block in rep.csr) <= SPARSE_MAX_ROW_NNZ * n
+    n, sparse = rep.n, rep.sparse_linalg
     if sparse:
         f, g = rep.csr
         longest = (np.diff(f.indptr) + np.diff(g.indptr)).max()

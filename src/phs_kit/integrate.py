@@ -16,20 +16,22 @@ nonlinear, so every step Jacobian is [-F_s/dt + G_s dg/dx1, C], with dg/dx1
 from the energy's ``hessian`` (``_StepMap``).  With a constant Hessian
 (``hessian()`` not None) and a relation that is absent or linear and
 state-independent (``linear_maps()`` not None) the step map is affine:
-g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once with LAPACK's
-LU.  Its steps form a linear recurrence, advanced a chunk at a time by a
-prefix scan (``_StepMap.run``); Newton's own test certifies every step in
-batches, and a step that fails it, or is not finite, is Newton-solved from its
-predictor before the recurrence resumes.  A certified step counts as one Newton
-iteration.  Other systems apply the sparse view of the Dirac blocks and
-factor their CSC Jacobian with SuperLU, whose solves give the condition
-estimate through ``onenormest`` with t=1: no random vectors.  ``scipy.linalg``
-and ``scipy.sparse`` are imported on first use: an affine step map of a small
-dense structure never loads ``scipy.sparse``.
+g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once.  Its steps
+form a linear recurrence, advanced a chunk at a time by a prefix scan
+(``_StepMap.run``); Newton's own test certifies every step in batches, and a
+step that fails it, or is not finite, is Newton-solved from its predictor
+before the recurrence resumes.  A certified step counts as one Newton
+iteration.  Other systems solve every step by Newton.
+
+Both step maps factor by one rule, ``DiracKernelRep.sparse_linalg``: a large
+sparse structure's CSC Jacobian goes to SuperLU, whose solves give the
+condition estimate through ``onenormest`` with t=1 (no random vectors); any
+other Jacobian is dense and inverted once by numpy, with its exact 1-norm
+condition.  ``scipy.sparse`` is imported on first use, so a small dense
+structure loads no scipy module here.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,13 +173,17 @@ class _StepMap:
         return sys.dirac.residual(flows, efforts)
 
     def jacobian(self, z):
+        """The step Jacobian at z: CSC if the structure's ``sparse_linalg`` holds, else dense."""
+        d, n_s, x1 = self.sys.dirac, self.x0.size, z[: self.x0.size]
+        j_g, aux = self.gradient_jacobian(x1), _aux_block(self.sys, self.effort_prescribed,
+                                                          0.5 * (self.x0 + x1))
+        if not d.sparse_linalg:
+            return np.hstack([-dense(d.F_s) / self.dt + dense(d.G_s) @ dense(j_g), aux])
         import scipy.sparse
 
-        n_s, x1 = self.x0.size, z[: self.x0.size]
-        F, G = self.sys.dirac.csr
-        j_g = scipy.sparse.csr_array(self.gradient_jacobian(x1))
-        return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ j_g, _aux_block(
-            self.sys, self.effort_prescribed, 0.5 * (self.x0 + x1))], format="csc")
+        F, G = d.csr
+        return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ scipy.sparse.csr_array(j_g),
+                                    aux], format="csc")
 
     def run(self, solver, x, v):
         """Fill x[1:] and v[1:] (see ``_solve_steps``); returns the largest step residual.
@@ -197,7 +203,6 @@ class _StepMap:
         if self.name == "newton":
             return _solve_steps(self, solver, x, v, 0, n_steps)
         d, m = self.sys.dirac, self.effort_prescribed.astype(float)
-        # K is factored with LAPACK: its blocks are read dense
         f_s, g_s, f_p, g_p = (dense(block) for block in (d.F_s, d.G_s, d.F_p, d.G_p))
         half_gh = 0.5 * (g_s @ self.hessian)
         # the relation does not depend on the state, so any state resolves it
@@ -205,10 +210,13 @@ class _StepMap:
                            _aux_block(self.sys, self.effort_prescribed, None)])
         maps = np.hstack([f_s / self.dt + half_gh, f_p * (1.0 - m) + g_p * m,
                           (g_s @ self.sys.ham.gradient(np.zeros(n_s)))[:, None]])
+        if d.sparse_linalg:
+            import scipy.sparse
         try:
-            # K is factored once: condition estimate, singular and non-finite checks
-            solver.factor(k_mat)
-            minus_s = -solver.lu_solve(maps)
+            # K is factored once: condition, singular and non-finite checks
+            solver.factor(scipy.sparse.csc_array(k_mat) if d.sparse_linalg else k_mat)
+            # Fortran order makes the transposed blocks the scan multiplies by C-contiguous
+            minus_s = np.asfortranarray(-solver.apply_inverse(maps))
         except NewtonError as exc:
             exc.step = 0
             raise
@@ -284,52 +292,39 @@ def _solve_steps(step_map, solver, x, v, first, last):
 
 
 class _NewtonSolver:
-    """Newton iteration with a Jacobian (LU) cached across steps.
+    """Newton iteration with a Jacobian factorization cached across steps.
 
-    The step map supplies the residual and its Jacobian (SuperLU factors a
-    sparse one, LAPACK a dense one).  The factorization is rebuilt when
-    progress stalls; for affine problems the first one is exact and reused.
+    The step map supplies the residual and its Jacobian.  SuperLU factors a
+    sparse one; a dense one is inverted once, so that each solve is one
+    product with the inverse (Higham 2002, ch. 14: the forward error of an LU
+    solve, though not its backward error, which Newton's own test checks on
+    every step).  The factorization is rebuilt when progress stalls; for
+    affine problems the first one is exact and reused.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.lu = self.lu_solve = self.condition = None
+        self.apply_inverse = self.condition = None
         self.rebuilds = self.iterations = self.solved_steps = 0
 
     def factor(self, jac):
-        import scipy.linalg  # imported on use, as is scipy.sparse.linalg: not at CLI start-up
-
         sparse = issparse(jac)
+        if not np.all(np.isfinite(jac.data if sparse else jac)):
+            raise NewtonError("non-finite step Jacobian")
         if sparse:  # a dense Jacobian never loads scipy.sparse
-            from scipy.sparse.linalg import LinearOperator, onenormest, splu
+            from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
         try:
-            if sparse and not np.all(np.isfinite(jac.data)):
-                raise ValueError("array must not contain infs or NaNs")
-            with warnings.catch_warnings():
-                # a LAPACK zero pivot surfaces as a non-finite iterate handled below
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self.lu = lu = splu(jac) if sparse else scipy.linalg.lu_factor(jac)
-        except (ValueError, RuntimeError, scipy.linalg.LinAlgError) as exc:
-            raise NewtonError(f"singular or non-finite step Jacobian: {exc}") from exc
-        self.lu_solve = lu.solve if sparse else self._getrs
+            inverse = splu(jac) if sparse else np.linalg.inv(jac)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:  # an exactly zero pivot
+            raise NewtonError(f"singular step Jacobian: {exc}") from None
+        self.apply_inverse = inverse.solve if sparse else inverse.__matmul__
         if self.condition is None and sparse:
             # t=1 draws no random vectors: deterministic, global RNG untouched
-            inverse = LinearOperator(jac.shape, lu.solve, lambda r: lu.solve(r, "T"), dtype=float)
-            self.condition = float(scipy.sparse.linalg.norm(jac, 1) * onenormest(inverse, t=1))
+            op = LinearOperator(jac.shape, inverse.solve, lambda r: inverse.solve(r, "T"), dtype=float)
+            self.condition = float(norm(jac, 1) * onenormest(op, t=1))
         elif self.condition is None:
-            # 1-norm estimate from the factors: O(n^2), where cond's SVD is O(n^3)
-            rcond, _ = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(jac, 1))
-            self.condition = 1.0 / rcond if rcond > 0 else math.inf
+            self.condition = float(np.linalg.norm(jac, 1) * np.linalg.norm(inverse, 1))
         self.rebuilds += 1
-
-    def _getrs(self, r):
-        import scipy.linalg  # loaded by factor; binds the name scipy here
-
-        # scipy.linalg.lu_solve without its per-call checks; r is checked finite first
-        dz, info = scipy.linalg.lapack.dgetrs(*self.lu, r)
-        if info != 0:
-            raise NewtonError(f"LU solve failed (LAPACK getrs info {info})")
-        return dz
 
     def solve(self, step_map, z0, step):
         cfg = self.cfg
@@ -345,17 +340,17 @@ class _NewtonSolver:
                 return z, norm
             if not math.isfinite(norm):
                 raise NewtonError("step residual is not finite", step=step, residual=norm)
-            refreshed = self.lu is None
+            refreshed = self.apply_inverse is None
             if refreshed:
                 self.factor(step_map.jacobian(z))
-            z_new = z - self.lu_solve(r)
+            z_new = z - self.apply_inverse(r)
             r_new = residual(z_new)
             norm_new = math.sqrt(r_new @ r_new)
             if (not norm_new <= 0.5 * norm) and norm_new > tol and not refreshed:
                 # stale cached Jacobian: rebuild at the current iterate and retry
                 self.factor(step_map.jacobian(z))
                 refreshed = True
-                z_new = z - self.lu_solve(r)
+                z_new = z - self.apply_inverse(r)
                 r_new = residual(z_new)
                 norm_new = math.sqrt(r_new @ r_new)
             if refreshed and norm_new > tol and norm_new >= 0.9 * norm:
@@ -481,9 +476,9 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     iterations summed over all steps (a certified affine step counts one),
     the steps Newton solved (every step of a Newton map, the certificate
     fallbacks of an affine one), the largest step residual, the Jacobian factorizations, and the first
-    Jacobian's 1-norm condition estimate: ``dgecon``, or on the Newton path
-    SuperLU's ``onenormest`` with t=1, which draws no random vectors
-    (deterministic).
+    Jacobian's 1-norm condition: exact, ||K||_1 ||K^-1||_1, for a dense
+    Jacobian, or SuperLU's ``onenormest`` with t=1 for a sparse one, which
+    draws no random vectors (deterministic).
 
     Raises
     ------

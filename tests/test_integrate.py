@@ -252,6 +252,11 @@ def test_simulate_reports_conditioning(oscillator):
     assert traj.metadata["jacobian_condition"] is not None
     assert traj.metadata["jacobian_condition"] < 1e3
     assert traj.metadata["max_step_residual"] <= 1e-11
+    # a dense step Jacobian is inverted, so its 1-norm condition is exact
+    step = _StepMap(oscillator, False, np.zeros(0, dtype=bool), traj.dt, np.zeros((1, 0)))
+    step.start(0, traj.x[0])
+    k_mat = step.jacobian(traj.x[0])
+    assert traj.metadata["jacobian_condition"] == pytest.approx(np.linalg.cond(k_mat, 1), rel=1e-12)
 
 
 def test_simulate_prescribed_flow_and_effort(forced):
@@ -310,24 +315,26 @@ def sin_force(t):
     return 0.3 * math.sin(2.0 * t + 0.5)
 
 
-def diffusion_case():
-    sys_, _ = pk.make_example("diffusion", N=16)
-    x0 = np.sin(np.arange(16.0))
+def diffusion_case(n_cells=16):
+    sys_, _ = pk.make_example("diffusion", N=n_cells)
+    x0 = np.sin(np.arange(float(n_cells)))
     return sys_, x0, {0: 0.3, 1: lambda t: -0.2 * math.sin(3.0 * t)}
 
 
 def affine_cases():
-    diffusion, x0_diffusion, u_diffusion = diffusion_case()
     return {
         "damped": (pk.damped_oscillator(1.0), [1.0, 0.0], None),
         "forced_sin": (pk.forced_oscillator(), [0.6, -0.8], {0: sin_force}),
-        "diffusion_16": (diffusion, x0_diffusion, u_diffusion),
+        "diffusion_16": diffusion_case(),
+        # n = 201 >= SPARSE_MIN_N: K is factored by SuperLU
+        "diffusion_100": diffusion_case(100),
         "parametric": (parametric_damper(), [1.0, 0.5], None),
     }
 
 
 @pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
-@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "diffusion_100",
+                                  "parametric"])
 def test_affine_step_map_matches_newton_reference(case, scheme):
     sys_, x0, inputs = affine_cases()[case]
     cfg = SchemeConfig(scheme=scheme, dt=1e-3)
@@ -358,7 +365,8 @@ def step_unknowns(sys_, traj):
 
 
 @pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
-@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "diffusion_100",
+                                  "parametric"])
 def test_every_affine_step_meets_the_newton_test(case, scheme):
     sys_, x0, inputs = affine_cases()[case]
     cfg = SchemeConfig(scheme=scheme, dt=1e-3)
@@ -393,7 +401,8 @@ def stepwise_reference(sys_, x0, inputs, t1, cfg):
     return np.array(x)
 
 
-@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "parametric"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "diffusion_100",
+                                  "parametric"])
 def test_steps_that_fail_the_certificate_are_newton_solved(monkeypatch, case):
     sys_, x0, inputs = affine_cases()[case]
     cfg = SchemeConfig(dt=1e-3)
@@ -522,28 +531,41 @@ def test_newton_step_jacobian_matches_central_differences(scheme):
         1e-6 * np.max(np.abs(energy_block)))
 
 
-@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
-def test_newton_step_jacobian_is_the_sparse_dense_assembly(scheme):
-    sys_, grid = pk.make_example("string", N=8, force="tanh")
+def tanh_string_step_jacobian(n_cells, scheme):
+    """A tanh string's Newton step Jacobian at a random point, and its assembly from dense blocks."""
+    sys_, grid = pk.make_example("string", N=n_cells, force="tanh")
     rng = np.random.default_rng(7)
-    x0 = np.concatenate([0.1 * rng.standard_normal(9),
-                         0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    x0 = np.concatenate([0.1 * rng.standard_normal(n_cells + 1),
+                         0.4 * np.sin(np.pi * grid["h"] * (np.arange(n_cells) + 0.5))])
     effort_prescribed = np.array([c == "effort" for c in sys_.causality])
     step = _StepMap(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
                     np.array([[0.3, -0.2]]))
     step.start(0, x0)
     x1 = x0 + 0.05 * rng.standard_normal(x0.size)
     jac = step.jacobian(np.concatenate([x1, rng.standard_normal(sys_.n - x0.size)]))
-    assert scipy.sparse.issparse(jac) and jac.format == "csc"
     d = sys_.dirac
     dense = np.hstack([-d.F_s / step.dt + d.G_s @ step.gradient_jacobian(x1).toarray(),
                        _aux_block(sys_, effort_prescribed, 0.5 * (x0 + x1))])
+    return jac, dense
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+def test_newton_step_jacobian_is_the_sparse_dense_assembly(scheme):
+    jac, dense = tanh_string_step_jacobian(100, scheme)  # n = 203 >= SPARSE_MIN_N
+    assert scipy.sparse.issparse(jac) and jac.format == "csc"
     assert np.max(np.abs(jac.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+def test_small_newton_step_jacobian_is_the_dense_assembly(scheme):
+    jac, dense = tanh_string_step_jacobian(8, scheme)  # n = 19 < SPARSE_MIN_N
+    assert type(jac) is np.ndarray
+    assert np.max(np.abs(jac - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
 def test_sparse_condition_estimate_matches_dgecon():
-    sys_, grid = pk.make_example("string", N=8, force="tanh")
-    x0 = np.concatenate([np.zeros(9), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    sys_, grid = pk.make_example("string", N=100, force="tanh")  # n = 203 >= SPARSE_MIN_N
+    x0 = np.concatenate([np.zeros(101), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(100) + 0.5))])
     inputs = {1: lambda t: 0.2 * math.sin(2.0 * t)}
     traj = simulate(sys_, x0, inputs, (0.0, 0.05), SchemeConfig(dt=1e-2))
     condition = traj.metadata["jacobian_condition"]
@@ -557,6 +579,7 @@ def test_sparse_condition_estimate_matches_dgecon():
     dense = step.jacobian(np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])).toarray()
     rcond, _ = dgecon(scipy.linalg.lu_factor(dense)[0], np.linalg.norm(dense, 1))
     assert condition == pytest.approx(1.0 / rcond, rel=1e-12)
+    assert condition == pytest.approx(np.linalg.cond(dense, 1), rel=1e-12)
 
 
 def test_simulate_leaves_the_global_rng_alone():

@@ -161,6 +161,7 @@ def test_certify_pipeline_leaves_scipy_integrate_unloaded(tmp_path, forced):
 
 
 SMALL_SYSTEM_PATH = """
+import dataclasses
 import sys
 import numpy as np
 import phs_kit as pk
@@ -179,20 +180,29 @@ for name, build in (("forced", pk.forced_oscillator), ("damped", pk.damped_oscil
         assert np.array_equal(pk.load_trajectory(f"{folder}/{name}.csv").x, smooth.x)
     pk.save_system(system, f"{folder}/{name}.json")
     assert pk.load_system(f"{folder}/{name}.json").dirac.F.tolist() == system.dirac.F.tolist()
-small = "scipy.sparse" in sys.modules
+forced = pk.forced_oscillator()
+general = dataclasses.replace(forced, ham=pk.GeneralHamiltonian(
+    value_fn=forced.ham.value, gradient_fn=forced.ham.gradient, dim=forced.ham.dim))
+for scheme in ("implicit_midpoint", "discrete_gradient"):
+    traj = pk.simulate(general, [0.3, -0.2], {0: lambda t: np.sin(3.0 * t)}, (0.0, 1.0),
+                       pk.SchemeConfig(scheme, dt=1e-3))
+    assert traj.metadata["step_map"] == "newton"
+loaded = [m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules]
 string, _ = pk.make_example("string", N=8)
-print(small, string.n, "scipy.sparse" in sys.modules)
+print(loaded, string.n, "scipy.sparse" in sys.modules)
 """
 
 
 def test_small_system_path_leaves_scipy_sparse_unloaded(tmp_path):
-    # build, validate, simulate, audit, mollify and save/load small dense systems in a fresh
-    # interpreter: none of it loads scipy.sparse, and the string still builds afterwards
+    # build, validate, simulate (the forced oscillator also behind a GeneralHamiltonian, on
+    # the Newton map), audit, mollify and save/load small dense systems in a fresh
+    # interpreter: none of it loads scipy.sparse or scipy.linalg, and the string still
+    # builds afterwards
     src = str(Path(pk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", SMALL_SYSTEM_PATH, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "19", "True"]
+    assert done.stdout.split() == ["[]", "19", "True"]
 
 
 def test_system_dict_rejects_garbage():

@@ -11,10 +11,11 @@ and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
 
 A kernel form keeps F and G as given: dense arrays, or scipy.sparse arrays
 (stored as CSR), which is how the discretizers build them.  Products with
-bond data (``DiracKernelRep.residual``) multiply dense blocks as they are
-below ``SPARSE_MIN_N`` bonds, and go through the CSR view of F and G for a
-sparse block or from ``SPARSE_MIN_N`` bonds on; the few readers that need
-dense blocks (the SVDs, small validations) densify them with
+bond data (``DiracKernelRep.residual``) follow one rule, decided by n alone:
+dense blocks below ``SPARSE_MIN_N`` bonds, the CSR view of F and G from
+``SPARSE_MIN_N`` bonds on, whatever the stored form.  One bond vector is
+multiplied by the stacked operator [F | G] in one product; the few readers
+that need dense blocks (the SVDs, small validations) densify them with
 ``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so a small
 dense structure never loads it.
 
@@ -134,9 +135,9 @@ class DiracKernelRep:
     def csr(self):
         """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use.
 
-        ``residual`` multiplies through this view for a sparse block or from
-        SPARSE_MIN_N bonds on, as do validation and the step Jacobians when
-        ``sparse_linalg`` holds.  Reading it imports ``scipy.sparse``.
+        ``residual`` multiplies through this view from SPARSE_MIN_N bonds on, as
+        do validation and the step Jacobians when ``sparse_linalg`` holds.
+        Reading it imports ``scipy.sparse``.
         """
         import scipy.sparse
 
@@ -154,28 +155,40 @@ class DiracKernelRep:
 
     @cached_property
     def _product_blocks(self):
-        """(F, G) as ``residual`` multiplies them: dense blocks below SPARSE_MIN_N bonds, else the CSR view.
+        """(F, G) as ``residual`` multiplies a batch: dense below SPARSE_MIN_N bonds, else the CSR view.
 
-        At a few bonds one dense product costs a fraction of a CSR dispatch;
-        from SPARSE_MIN_N bonds on a dense product is O(n^2) per bond vector.
+        n alone decides, not the stored form.  At a few bonds one dense product
+        costs a fraction of a CSR dispatch; from SPARSE_MIN_N bonds on a dense
+        product is O(n^2) per bond vector.
         """
-        if self.n < SPARSE_MIN_N and not (issparse(self.F) or issparse(self.G)):
-            return self.F, self.G
-        return self.csr
+        return (dense(self.F), dense(self.G)) if self.n < SPARSE_MIN_N else self.csr
+
+    @cached_property
+    def stacked(self):
+        """[F | G], n x 2n in the form of ``_product_blocks``: F f + G e is one product with (f; e).
+
+        Built on first use.  A batch keeps its two products: stacking its flows
+        and efforts would copy more than the second product costs.
+        """
+        if self.n < SPARSE_MIN_N:
+            return np.hstack(self._product_blocks)
+        import scipy.sparse
+
+        return scipy.sparse.hstack(self.csr, format="csr")
 
     def residual(self, f, e):
         """F f + G e: zero iff the bond vector (f, e) lies in ker[F, G].
 
-        ``f`` and ``e`` have shape (n,), or (m, n) with one bond vector per row;
-        the sparse products read a batch stored column-major in place.  Small
-        dense blocks are multiplied as they are, any other through the CSR view.
+        ``f`` and ``e`` have shape (n,), multiplied as (f; e) by ``stacked``, or
+        (m, n) with one bond vector per row, by the blocks of ``_product_blocks``;
+        the sparse products read a batch stored column-major in place.
         """
         f, e = np.asarray(f, dtype=float), np.asarray(e, dtype=float)
         if f.ndim not in (1, 2) or f.shape[-1] != self.n or e.shape != f.shape:
             raise StructureError(f"flows and efforts must be rows of width n = {self.n}, "
                                  f"got shapes {f.shape} and {e.shape}")
         F, G = self._product_blocks
-        return F @ f + G @ e if f.ndim == 1 else (F @ f.T + G @ e.T).T
+        return self.stacked @ np.concatenate((f, e)) if f.ndim == 1 else (F @ f.T + G @ e.T).T
 
     # column blocks
     @property
@@ -396,7 +409,7 @@ def image_to_kernel(rep):
 
 def _kernel_basis_2n(rep):
     """Orthonormal basis (2n x n) of ker[F, G] for a validated representation."""
-    return subspace_bases(np.hstack([dense(rep.F), dense(rep.G)]))[1]
+    return subspace_bases(dense(rep.stacked))[1]
 
 
 def distance_to_structure(rep, d):
@@ -425,7 +438,7 @@ def substructure_D0(rep):
     n = rep.n
     selector = np.zeros((rep.n_s, 2 * n))
     selector[:, n : n + rep.n_s] = np.eye(rep.n_s)
-    stacked = np.vstack([np.hstack([dense(rep.F), dense(rep.G)]), selector])
+    stacked = np.vstack([dense(rep.stacked), selector])
     return subspace_bases(stacked)[1]
 
 

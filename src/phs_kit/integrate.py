@@ -9,6 +9,8 @@ is grad H at the interval midpoint (implicit_midpoint) or the averaged vector
 field between the endpoint states (discrete_gradient, ``energy.discrete_gradient``).
 The latter makes the per-step energy balance an identity: to roundoff for
 polynomial energies up to degree 12, to a quadrature error otherwise.
+A residual fills one bond vector w = (flows; efforts) in place and takes one
+product with the stacked [F | G] (``DiracKernelRep.stacked``).
 
 The residual is linear in the auxiliary unknowns v = (v_R, v_P), through
 C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)] (``_aux_block``); only g is
@@ -144,17 +146,13 @@ class _StepMap:
         self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
         self.dt, self.prescribed = dt, prescribed
         self.hessian = sys.ham.hessian()
+        self.bonds = np.empty(2 * sys.n)  # (flows; efforts), refilled by every residual
+        self.bond_parts = np.split(self.bonds, np.cumsum([sys.n_s, sys.n_r, sys.n_p, sys.n_s, sys.n_r]))
         linear = sys.res is None or sys.res.linear_maps() is not None
         self.name = "affine" if self.hessian is not None and linear else "newton"
 
     def start(self, k, x_k):
         self.x0, self.u = x_k, self.prescribed[k]
-
-    def gradient(self, x1):
-        """The scheme's co-energy g(x_k, x1)."""
-        if self.use_dg:
-            return discrete_gradient(self.sys.ham, self.x0, x1)
-        return ham_grad(self.sys.ham, 0.5 * (self.x0 + x1))
 
     def gradient_jacobian(self, x1):
         """J_g = dg/dx1 (class docstring)."""
@@ -164,13 +162,16 @@ class _StepMap:
         return sum(w * s * ham.hessian(x0 + s * (x1 - x0)) for s, w in zip(_AVF_NODES, _AVF_WEIGHTS))
 
     def residual(self, z):
+        """[F | G] w for the bond vector w = (flows; efforts) at z = (x1, v), filled in place."""
         sys, x0 = self.sys, self.x0
         x1 = z[: x0.size]
-        f_r, e_r, f_p, e_p = _channels(sys, self.effort_prescribed, z[x0.size:],
-                                       0.5 * (x0 + x1), self.u)
-        flows = np.concatenate([-(x1 - x0) / self.dt, f_r, f_p])
-        efforts = np.concatenate([self.gradient(x1), e_r, e_p])
-        return sys.dirac.residual(flows, efforts)
+        x_mid = 0.5 * (x0 + x1)
+        flow_s, f_r, f_p, g, e_r, e_p = self.bond_parts
+        np.divide(np.subtract(x0, x1, out=flow_s), self.dt, out=flow_s)  # x0 - x1 first, then / dt
+        f_r[:], e_r[:], f_p[:], e_p[:] = _channels(sys, self.effort_prescribed, z[x0.size:],
+                                                   x_mid, self.u)
+        g[:] = discrete_gradient(sys.ham, x0, x1) if self.use_dg else ham_grad(sys.ham, x_mid)
+        return sys.dirac.stacked @ self.bonds
 
     def jacobian(self, z):
         """The step Jacobian at z: CSC if the structure's ``sparse_linalg`` holds, else dense."""
@@ -326,10 +327,9 @@ class _NewtonSolver:
             self.condition = float(np.linalg.norm(jac, 1) * np.linalg.norm(inverse, 1))
         self.rebuilds += 1
 
-    def solve(self, step_map, z0, step):
+    def solve(self, step_map, z, step):
         cfg = self.cfg
         residual = step_map.residual
-        z = np.array(z0, dtype=float)
         r = residual(z)
         norm = math.sqrt(r @ r)
         # tolerance relative to the step's own residual scale so the roundoff

@@ -387,6 +387,22 @@ def test_dense_and_sparse_structures_validate_alike(kind, n):
                           pk.extrapolation_split(as_dense).projector_kernel)
 
 
+def test_products_follow_the_size_rule_not_the_stored_form():
+    small = pk.make_example("string", N=8)[0].dirac  # n = 19, stored sparse
+    copy = _with_form(small, dense)
+    assert scipy.sparse.issparse(small.F) and not scipy.sparse.issparse(copy.F)
+    for rep in (small, copy):
+        assert type(rep.stacked) is np.ndarray and rep.stacked.shape == (rep.n, 2 * rep.n)
+        assert all(type(block) is np.ndarray for block in rep._product_blocks)
+    f, e = np.random.default_rng(3).standard_normal((2, 5, small.n))
+    for args in ((f[0], e[0]), (f, e)):
+        assert np.array_equal(small.residual(*args), copy.residual(*args))
+    large = pk.make_example("string", N=128)[0].dirac  # n = 259
+    for rep in (large, _with_form(large, dense)):
+        assert scipy.sparse.issparse(rep.stacked) and rep.stacked.format == "csr"
+        assert all(scipy.sparse.issparse(block) for block in rep._product_blocks)
+
+
 def test_sparse_structure_keeps_its_csr_arrays():
     rep = pk.make_example("string", N=16)[0].dirac
     assert rep.csr[0] is rep.F and rep.csr[1] is rep.G

@@ -13,7 +13,7 @@ from scipy.optimize import root_scalar
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
-from phs_kit.integrate import _CHUNK, _CHUNK_CELLS, _NewtonSolver, _StepMap, _aux_block
+from phs_kit.integrate import _CHUNK, _CHUNK_CELLS, _NewtonSolver, _StepMap, _aux_block, _channels
 
 
 def closed_form_oscillator(t):
@@ -381,6 +381,45 @@ def test_every_affine_step_meets_the_newton_test(case, scheme):
         r, r0 = (np.linalg.norm(step.residual(z[j])) for j in (k + 1, k))
         worst = max(worst, r / (cfg.newton_tol * (1.0 + r0)))
     assert worst <= 1.0
+
+
+def residual_cases():
+    """Every affine case, tanh strings either side of SPARSE_MIN_N and a Modulated relation."""
+    cases = {name: case[0] for name, case in affine_cases().items()}
+    for n_cells in (8, 100):  # n = 19: dense [F | G]; n = 203: CSR [F | G]
+        cases[f"tanh_string_{n_cells}"] = pk.make_example("string", N=n_cells, force="tanh")[0]
+    damped = pk.damped_oscillator(1.0)
+    cases["modulated"] = pk.assemble(
+        damped.dirac, damped.ham,
+        pk.Modulated(family=lambda x: pk.LinearGraph(R=[[1.0 + x[0] ** 2]]), n_r=1), (),
+        resistive_states=[np.zeros(2), np.array([2.0, 0.0])])
+    return cases
+
+
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
+@pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "diffusion_100",
+                                  "parametric", "tanh_string_8", "tanh_string_100", "modulated"])
+def test_step_residual_is_the_assembled_bond_vector_product(case, scheme):
+    # the step map fills one bond vector and multiplies [F | G] once; the reference
+    # concatenates flows and efforts and takes the two products F f + G e
+    sys_, dt, use_dg = residual_cases()[case], 1e-3, scheme == "discrete_gradient"
+    rng = np.random.default_rng(11)
+    mask = effort_mask(sys_)
+    step = _StepMap(sys_, use_dg, mask, dt, rng.standard_normal((2, sys_.n_p)))
+    abs_f, abs_g = abs(sys_.dirac.F), abs(sys_.dirac.G)
+    for k in range(2):
+        x0 = rng.standard_normal(sys_.n_s)
+        step.start(k, x0)
+        for _ in range(3):
+            z = rng.standard_normal(sys_.n)
+            x1, x_mid = z[: sys_.n_s], 0.5 * (x0 + z[: sys_.n_s])
+            f_r, e_r, f_p, e_p = _channels(sys_, mask, z[sys_.n_s:], x_mid, step.u)
+            g = pk.discrete_gradient(sys_.ham, x0, x1) if use_dg else pk.ham_grad(sys_.ham, x_mid)
+            flows = np.concatenate([-(x1 - x0) / dt, f_r, f_p])
+            efforts = np.concatenate([g, e_r, e_p])
+            want = sys_.dirac.residual(flows[None], efforts[None])[0]
+            scale = abs_f @ np.abs(flows) + abs_g @ np.abs(efforts)
+            assert np.all(np.abs(step.residual(z) - want) <= 1e-13 * scale)
 
 
 def stepwise_reference(sys_, x0, inputs, t1, cfg):

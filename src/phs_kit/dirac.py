@@ -167,8 +167,8 @@ class DiracKernelRep:
     def stacked(self):
         """[F | G], n x 2n in the form of ``_product_blocks``: F f + G e is one product with (f; e).
 
-        Built on first use.  A batch keeps its two products: stacking its flows
-        and efforts would copy more than the second product costs.
+        Built on first use.  A batch keeps its two products: a stacked dense product rounds a
+        row differently in a block of rows than in the whole batch; two products do not.
         """
         if self.n < SPARSE_MIN_N:
             return np.hstack(self._product_blocks)

@@ -42,7 +42,7 @@ import numpy as np
 from ._linalg import EPS, _fd_jacobian, dense, issparse, subspace_bases
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
-from .system import PortSignal, Trajectory, _row_blocks
+from .system import PortSignal, Trajectory, _bond_residual, _row_blocks
 
 __all__ = [
     "SchemeConfig",
@@ -401,8 +401,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     x_guess = _state(sys, x_guess, "x_guess")
     inputs = PortSignal.coerce(inputs)
     inputs.validate_channels(sys)
-    d = sys.dirac
-    w = subspace_bases(dense(d.F_s).T)[1]
+    w = subspace_bases(dense(sys.dirac.F_s).T)[1]
     m = w.shape[1]
     if m == 0:
         return x_guess.copy(), ConsistencyReport(0.0, 0, 0.0, 0.0, False, True)
@@ -413,8 +412,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
 
     def constraint(x, v):
         f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x, prescribed)
-        return w.T @ d.residual(np.concatenate([np.zeros(sys.n_s), f_r, f_p]),
-                                np.concatenate([ham_grad(sys.ham, x), e_r, e_p]))
+        return w.T @ _bond_residual(sys, np.zeros(sys.n_s), f_r, f_p, ham_grad(sys.ham, x), e_r, e_p)
 
     def aux_jacobian(x):
         return w.T @ _aux_block(sys, effort_prescribed, x)

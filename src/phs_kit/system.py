@@ -167,19 +167,23 @@ class StrongResidual:
     resistive_defect: float
 
 
-def _inclusion_defects(sys, x, xdot, f_r, e_r, f_p, e_p):
-    """Dirac and resistive defects of the inclusion for batches of rows.
+def _bond_residual(sys, flow_s, f_r, f_p, effort_s, e_r, e_p):
+    """F (flow_s; f_R; f_P) + G (effort_s; e_R; e_P), the tested bond pair applied to D.
 
-    Every argument holds one row per point (m, width).  Returns two arrays of
-    length m: || F (-xdot; f_R; f_P) + G (grad H(x); e_R; e_P) || and the
-    distance of (f_R, e_R) to the relation at x.
+    1-D blocks make one bond vector; 2-D blocks hold one bond per row, stacked
+    column-major, which the sparse products read in place.
     """
-    # bond rows stored column-major, which the sparse products read in place
-    flows = np.vstack([-xdot.T, f_r.T, f_p.T]).T
-    efforts = np.vstack([sys.ham.gradient(x).T, e_r.T, e_p.T]).T
-    dirac = np.linalg.norm(sys.dirac.residual(flows, efforts), axis=1)
+    return sys.dirac.residual(np.concatenate([flow_s.T, f_r.T, f_p.T]).T,
+                              np.concatenate([effort_s.T, e_r.T, e_p.T]).T)
+
+
+def _inclusion_defects(sys, x, xdot, f_r, e_r, f_p, e_p):
+    """The pointwise rule, one point per row: || F (-xdot; f_R; f_P) + G (grad H(x); e_R; e_P) ||
+    and the distance of (f_R, e_R) to the relation at x, two arrays of length m.
+    """
+    bond = _bond_residual(sys, -xdot, f_r, f_p, sys.ham.gradient(x), e_r, e_p)
     resistive = np.zeros(len(x)) if sys.res is None else sys.res.distance(x, f_r, e_r)
-    return dirac, resistive
+    return np.linalg.norm(bond, axis=1), resistive
 
 
 def strong_residual(sys, x, xdot, f_r=None, e_r=None, f_p=None, e_p=None):
@@ -189,19 +193,16 @@ def strong_residual(sys, x, xdot, f_r=None, e_r=None, f_p=None, e_p=None):
     resistive_defect = distance of (f_R, e_R) to the relation at x.
     """
     d = sys.dirac
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    f_r = np.zeros(d.n_r) if f_r is None else np.atleast_1d(np.asarray(f_r, float))
-    e_r = np.zeros(d.n_r) if e_r is None else np.atleast_1d(np.asarray(e_r, float))
-    f_p = np.zeros(d.n_p) if f_p is None else np.atleast_1d(np.asarray(f_p, float))
-    e_p = np.zeros(d.n_p) if e_p is None else np.atleast_1d(np.asarray(e_p, float))
+    widths = {"f_R": d.n_r, "e_R": d.n_r, "f_P": d.n_p, "e_P": d.n_p}
+    x, xdot = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, xdot))
+    channels = [np.zeros(m) if v is None else np.atleast_1d(np.asarray(v, float))
+                for v, m in zip((f_r, e_r, f_p, e_p), widths.values())]
     if x.shape != (d.n_s,) or xdot.shape != (d.n_s,):
         raise StructureError(f"x and xdot must have length {d.n_s}")
-    for v, m, name in ((f_r, d.n_r, "f_R"), (e_r, d.n_r, "e_R"),
-                       (f_p, d.n_p, "f_P"), (e_p, d.n_p, "e_P")):
+    for v, (name, m) in zip(channels, widths.items()):
         if v.shape != (m,):
             raise StructureError(f"{name} must have length {m}, got {v.shape}")
-    dirac, resistive = _inclusion_defects(sys, *(v[None, :] for v in (x, xdot, f_r, e_r, f_p, e_p)))
+    dirac, resistive = _inclusion_defects(sys, *(v[None, :] for v in (x, xdot, *channels)))
     return StrongResidual(dirac_defect=float(dirac[0]), resistive_defect=float(resistive[0]))
 
 
@@ -249,10 +250,9 @@ class Trajectory:
             if a.ndim != 2 or a.shape[0] != rows:
                 raise StructureError(f"{name} must have {rows} {kind} rows, got shape {a.shape}")
             arrays[name] = a
-        if arrays["f_r"].shape != arrays["e_r"].shape:
-            raise StructureError("f_r and e_r must have equal shape")
-        if arrays["f_p"].shape != arrays["e_p"].shape:
-            raise StructureError("f_p and e_p must have equal shape")
+        for f, e in (("f_r", "e_r"), ("f_p", "e_p")):
+            if arrays[f].shape != arrays[e].shape:
+                raise StructureError(f"{f} and {e} must have equal shape")
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
 
@@ -274,12 +274,10 @@ class Trajectory:
 
     def check_shapes(self, sys):
         """Raise StructureError if the sample widths do not match the system."""
-        if self.x.shape[1] != sys.n_s:
-            raise StructureError(f"trajectory n_s = {self.x.shape[1]} != system n_s = {sys.n_s}")
-        if self.f_r.shape[1] != sys.n_r:
-            raise StructureError(f"trajectory n_r = {self.f_r.shape[1]} != system n_r = {sys.n_r}")
-        if self.f_p.shape[1] != sys.n_p:
-            raise StructureError(f"trajectory n_p = {self.f_p.shape[1]} != system n_p = {sys.n_p}")
+        for name, width, want in (("n_s", self.n_s, sys.n_s), ("n_r", self.f_r.shape[1], sys.n_r),
+                                  ("n_p", self.f_p.shape[1], sys.n_p)):
+            if width != want:
+                raise StructureError(f"trajectory {name} = {width} != system {name} = {want}")
 
 
 class PortSignal:

@@ -1,14 +1,15 @@
 """Trajectory certification: weak residual, mollification, energy audit.
 
-The weak residual is the Dirac structure applied to the hat-tested bond pair.
-A weak solution's pair (∫ psidot x, ∫ psi f_R, ∫ psi f_P; ∫ psi grad H(x),
-∫ psi e_R, ∫ psi e_P) lies in ker[F, G] for every test function psi, and
-``weak_residual`` is F f + G e of it for the piecewise-linear hat at each
-interior node, with states interpolated piecewise-linearly and channel samples
-piecewise constant.  Residuals are reported per unit test-function mass (each
-hat integrates to dt) and divided by (1 + max channel magnitude), which makes
-the tolerance scale-free and the report second-order small for trajectories
-produced by the integrator.
+A weak solution's tested bond pair (∫ psidot x, ∫ psi f_R, ∫ psi f_P;
+∫ psi grad H(x), ∫ psi e_R, ∫ psi e_P) lies in ker[F, G] for every test
+function psi, and each interior-node audit is one time test of it plus a
+reduction: ``_interior_blocks`` checks the data, the test turns each row block
+into bond pairs, and ``system._bond_residual`` applies F f + G e to them.
+``weak_residual`` tests with the hat at each interior node (states piecewise
+linear, channels piecewise constant) and reports per unit hat mass, divided by
+(1 + max channel magnitude): scale-free, and second-order small for
+trajectories produced by the integrator.  ``strong_trajectory_audit`` tests
+with the node itself, xdot by a centred difference.
 
 The weak, energy and pointwise audits walk the trajectory in blocks of time
 rows (``system._row_blocks``) and write each block's rows into tables
@@ -18,11 +19,12 @@ one Gauss-Legendre rule that numpy evaluates for all of them at once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import StructureError
-from .system import Trajectory, _abs_max, _inclusion_defects, _row_blocks
+from .system import Trajectory, _abs_max, _bond_residual, _inclusion_defects, _row_blocks
 
 __all__ = [
     "WeakReport",
@@ -38,6 +40,14 @@ __all__ = [
 
 _GAUSS_LO = 0.5 - 0.5 / np.sqrt(3.0)
 _GAUSS_HI = 0.5 + 0.5 / np.sqrt(3.0)
+
+
+def _interior_blocks(sys, traj, refusal):
+    """Row blocks over the interior nodes; StructureError on a width mismatch or one step."""
+    traj.check_shapes(sys)
+    if traj.steps < 2:
+        raise StructureError(refusal)
+    return _row_blocks(traj.steps - 1, sys.n)
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,12 @@ def weak_residual(sys, traj):
     for the piecewise polynomial parts).  Reported values are
     |r_kj| / (dt (1 + max channel)).
     """
-    traj.check_shapes(sys)
-    if traj.steps < 2:
-        raise StructureError("weak residual needs at least two steps (one interior node)")
+    blocks = _interior_blocks(sys, traj,
+                              "weak residual needs at least two steps (one interior node)")
     half_dt = 0.5 * traj.dt
     normalization = 1.0 + traj.channel_magnitude()
     residuals = np.empty((traj.steps - 1, sys.n))
-    for rows in _row_blocks(traj.steps - 1, sys.n):
+    for rows in blocks:
         lo, hi = rows.start, rows.stop
         x = traj.x[lo : hi + 2]  # the nodes of intervals lo..hi, which the hats of these rows span
 
@@ -97,12 +106,10 @@ def weak_residual(sys, traj):
         rising = _GAUSS_LO * grad_lo + _GAUSS_HI * grad_hi
         falling = (1.0 - _GAUSS_LO) * grad_lo + (1.0 - _GAUSS_HI) * grad_hi
         x_mid = 0.5 * (x[:-1] + x[1:])
-        f_r, e_r, f_p, e_p = (half_dt * (c[lo:hi] + c[lo + 1 : hi + 1]).T
+        f_r, e_r, f_p, e_p = (half_dt * (c[lo:hi] + c[lo + 1 : hi + 1])
                               for c in (traj.f_r, traj.e_r, traj.f_p, traj.e_p))
-
-        # bond rows stored column-major, which the sparse products read in place
-        raw = sys.dirac.residual(np.vstack([(x_mid[:-1] - x_mid[1:]).T, f_r, f_p]).T,
-                                 np.vstack([half_dt * (rising[:-1] + falling[1:]).T, e_r, e_p]).T)
+        raw = _bond_residual(sys, x_mid[:-1] - x_mid[1:], f_r, f_p,
+                             half_dt * (rising[:-1] + falling[1:]), e_r, e_p)
         np.divide(np.abs(raw), traj.dt * normalization, out=residuals[rows])
     return WeakReport(
         max_residual=float(residuals.max()),
@@ -333,10 +340,13 @@ class StrongAudit:
     resistive_defects: np.ndarray
     normalization: float
 
+    @cached_property
+    def _worst(self):
+        return np.maximum(self.dirac_defects, self.resistive_defects)
+
     @property
     def max_defect(self):
-        worst = np.maximum(self.dirac_defects, self.resistive_defects)
-        return float(worst.max()) if worst.size else 0.0
+        return float(self._worst.max()) if self._worst.size else 0.0
 
     @property
     def max_normalized(self):
@@ -345,10 +355,7 @@ class StrongAudit:
     @property
     def argmax_time(self):
         """Time of the node with the largest defect of either kind."""
-        if not self.t.size:
-            return None
-        worst = np.maximum(self.dirac_defects, self.resistive_defects)
-        return float(self.t[int(np.argmax(worst))])
+        return float(self.t[int(np.argmax(self._worst))]) if self.t.size else None
 
     def as_dict(self):
         return {
@@ -361,18 +368,14 @@ class StrongAudit:
 
 def strong_trajectory_audit(sys, traj):
     """Evaluate the pointwise residual at every interior node of the data."""
-    traj.check_shapes(sys)
-    if traj.steps < 2:
-        raise StructureError("pointwise audit needs at least two steps")
-    x = traj.x
-    defects = np.empty((2, traj.steps - 1))
-    for rows in _row_blocks(traj.steps - 1, sys.n):
+    blocks = _interior_blocks(sys, traj, "pointwise audit needs at least two steps")
+    x, defects = traj.x, np.empty((2, traj.steps - 1))
+    for rows in blocks:
         lo, hi = rows.start, rows.stop
         xdot = (x[lo + 2 : hi + 2] - x[lo:hi]) / (2.0 * traj.dt)
         # each interior node k pairs with the preceding interval's channel values
-        defects[0, rows], defects[1, rows] = _inclusion_defects(
-            sys, x[lo + 1 : hi + 1], xdot, traj.f_r[rows], traj.e_r[rows], traj.f_p[rows],
-            traj.e_p[rows])
+        channels = (c[rows] for c in (traj.f_r, traj.e_r, traj.f_p, traj.e_p))
+        defects[:, rows] = _inclusion_defects(sys, x[lo + 1 : hi + 1], xdot, *channels)
     return StrongAudit(
         t=traj.t[1:-1],
         dirac_defects=defects[0],

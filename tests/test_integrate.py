@@ -13,6 +13,7 @@ from scipy.optimize import root_scalar
 
 import phs_kit as pk
 from phs_kit import SchemeConfig, consistent_init, simulate
+from phs_kit.discretize import NamedForce
 from phs_kit.integrate import _CHUNK, _CHUNK_CELLS, _NewtonSolver, _StepMap, _aux_block, _channels
 
 
@@ -384,10 +385,14 @@ def test_every_affine_step_meets_the_newton_test(case, scheme):
 
 
 def residual_cases():
-    """Every affine case, tanh strings either side of SPARSE_MIN_N and a Modulated relation."""
+    """Every affine case, tanh strings either side of SPARSE_MIN_N and with both causalities,
+    and a Modulated relation.
+    """
     cases = {name: case[0] for name, case in affine_cases().items()}
     for n_cells in (8, 100):  # n = 19: dense [F | G]; n = 203: CSR [F | G]
         cases[f"tanh_string_{n_cells}"] = pk.make_example("string", N=n_cells, force="tanh")[0]
+    cases["tanh_string_mixed"] = pk.string_system(pk.StringSpec(N=8, force=NamedForce("tanh")),
+                                                  causality=("effort", "flow"))[0]
     damped = pk.damped_oscillator(1.0)
     cases["modulated"] = pk.assemble(
         damped.dirac, damped.ham,
@@ -398,7 +403,8 @@ def residual_cases():
 
 @pytest.mark.parametrize("scheme", ["implicit_midpoint", "discrete_gradient"])
 @pytest.mark.parametrize("case", ["damped", "forced_sin", "diffusion_16", "diffusion_100",
-                                  "parametric", "tanh_string_8", "tanh_string_100", "modulated"])
+                                  "parametric", "tanh_string_8", "tanh_string_100",
+                                  "tanh_string_mixed", "modulated"])
 def test_step_residual_is_the_assembled_bond_vector_product(case, scheme):
     # the step map fills one bond vector and multiplies [F | G] once; the reference
     # concatenates flows and efforts and takes the two products F f + G e

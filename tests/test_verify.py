@@ -16,6 +16,7 @@ from phs_kit import (
     strong_trajectory_audit,
     weak_residual,
 )
+from phs_kit.discretize import NamedForce
 from phs_kit.verify import _apply_stencil, bump_constant
 
 # 30-digit quadrature of the bump mass, computed independently ahead of time
@@ -74,10 +75,19 @@ def test_weak_residual_localizes_corruption(oscillator):
     assert abs(worst_node - spike) <= 1
 
 
-def test_weak_residual_shape_mismatch(oscillator, damped):
+@pytest.mark.parametrize("audit", [weak_residual, strong_trajectory_audit, energy_report])
+def test_weak_residual_shape_mismatch(oscillator, damped, audit):
     traj = make_traj(oscillator, np.zeros((6, 2)))
-    with pytest.raises(pk.StructureError):
-        weak_residual(damped, traj)
+    with pytest.raises(pk.StructureError, match="trajectory n_r = 0 != system n_r = 1"):
+        audit(damped, traj)
+
+
+@pytest.mark.parametrize("audit", [weak_residual, strong_trajectory_audit])
+def test_interior_node_audits_refuse_one_step(oscillator, audit):
+    name = {weak_residual: "weak residual", strong_trajectory_audit: "pointwise audit"}[audit]
+    traj = make_traj(oscillator, np.zeros((2, 2)))
+    with pytest.raises(pk.StructureError, match=f"{name} needs at least two steps"):
+        audit(oscillator, traj)
 
 
 def test_weak_residual_step_forced_vs_strong(forced):
@@ -116,6 +126,10 @@ def _weak_cases():
     strain = np.concatenate([np.zeros(17), 0.3 * np.sin(np.pi * (np.arange(16) + 0.5) / 16)])
     shake = {1: lambda t: 0.3 * np.sin(2.0 * t)}
     diffusion, _ = pk.make_example("diffusion", N=16)
+    # the left end's velocity and the right end's tension prescribed
+    string_mixed, _ = pk.string_system(pk.StringSpec(N=8, force=NamedForce("tanh")),
+                                       causality=("effort", "flow"))
+    strain_8 = np.concatenate([np.zeros(9), 0.3 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)])
     parametric = pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[2.0]], B=[[-1.0]]), ())
     modulated = pk.assemble(
         damped.dirac, damped.ham,
@@ -124,6 +138,7 @@ def _weak_cases():
     return {
         "string_tanh_im": (string_tanh, strain, shake, "implicit_midpoint"),
         "string_linear_dg": (string_linear, strain, shake, "discrete_gradient"),
+        "string_tanh_mixed": (string_mixed, strain_8, shake, "implicit_midpoint"),
         "damped": (damped, [1.0, 0.0], None, "implicit_midpoint"),
         "forced_dg": (pk.forced_oscillator(), [0.6, -0.8], {0: lambda t: 0.3 * np.sin(2.0 * t + 0.5)},
                       "discrete_gradient"),

@@ -20,8 +20,8 @@ from the energy's ``hessian`` (``_StepMap``).  With a constant Hessian
 state-independent (``linear_maps()`` not None) the step map is affine:
 g = H (x0 + x1)/2 + b, and the exact Jacobian is factored once.  Its steps
 form a linear recurrence, advanced a chunk at a time by a prefix scan
-(``_StepMap.run``); Newton's own test certifies every step in batches, and a
-step that fails it, or is not finite, is Newton-solved from its predictor
+(``_StepMap.run``); Newton's own test (``SchemeConfig``) certifies every step
+in batches, and a step that fails it is Newton-solved from its predictor
 before the recurrence resumes.  A certified step counts as one Newton
 iteration.  Other systems solve every step by Newton.
 
@@ -63,9 +63,9 @@ _CHUNK, _CHUNK_CELLS, _CALL_FLOPS = 128, 1 << 16, 1 << 16
 class SchemeConfig:
     """Time-stepping configuration.
 
-    ``newton_tol`` bounds the per-step residual relative to the step's own
-    scale: convergence requires ||residual||_2 <= newton_tol * (1 + r0) with
-    r0 the residual norm at the predictor.
+    ``newton_tol`` sets Newton's test, which every step must pass: the 2-norm
+    of its residual is finite and at most newton_tol * (1 + r0), with r0 the
+    norm at the predictor.  ``_NewtonSolver.tolerance`` is its one home.
     """
 
     scheme: str = "implicit_midpoint"
@@ -84,21 +84,21 @@ class SchemeConfig:
             raise StructureError(f"newton_max_iter must be an int >= 1, got {self.newton_max_iter!r}")
 
 
-def _channels(sys, effort_prescribed, v, x, prescribed):
+def _channels(sys, v, x, prescribed):
     """Resolve (f_R, e_R, f_P, e_P) at state x from the auxiliary unknowns.
 
     ``v`` holds the relation's n_aux unknowns followed by the free half of
     each port channel; ``prescribed`` holds the other halves.  All three may
     be batches with one row per step.
     """
-    n_aux = v.shape[-1] - effort_prescribed.size
+    n_aux = v.shape[-1] - sys.n_p
     if sys.res is None:
         f_r = e_r = np.zeros(v.shape[:-1] + (0,))
     else:
         f_r, e_r = sys.res.pair(v[..., :n_aux], x)
     v_p = v[..., n_aux:]
-    f_p = np.where(effort_prescribed, v_p, prescribed)
-    e_p = np.where(effort_prescribed, prescribed, v_p)
+    f_p = np.where(sys.effort_prescribed, v_p, prescribed)
+    e_p = np.where(sys.effort_prescribed, prescribed, v_p)
     return f_r, e_r, f_p, e_p
 
 
@@ -117,7 +117,7 @@ def _state(sys, x, name):
     return x
 
 
-def _aux_block(sys, effort_prescribed, x):
+def _aux_block(sys, x):
     """C(x) = [F_r A + G_r B, F_p D_m + G_p (I - D_m)]: the exact map v -> residual.
 
     (A, B) = ``res.at(x).linear_maps()`` and D_m masks the effort-prescribed
@@ -127,7 +127,7 @@ def _aux_block(sys, effort_prescribed, x):
     f_r, g_r, f_p, g_p = (dense(block) for block in (sys.dirac.F_r, sys.dirac.G_r,
                                                      sys.dirac.F_p, sys.dirac.G_p))
     a, b = (np.zeros((0, 0)),) * 2 if sys.res is None else sys.res.at(x).linear_maps()
-    m = effort_prescribed.astype(float)
+    m = sys.effort_prescribed.astype(float)
     return np.hstack([f_r @ a + g_r @ b, f_p * m + g_p * (1.0 - m)])
 
 
@@ -142,9 +142,8 @@ class _StepMap:
     residual itself is exact.  ``run`` steps the whole grid.
     """
 
-    def __init__(self, sys, use_dg, effort_prescribed, dt, prescribed):
-        self.sys, self.use_dg, self.effort_prescribed = sys, use_dg, effort_prescribed
-        self.dt, self.prescribed = dt, prescribed
+    def __init__(self, sys, use_dg, dt, prescribed):
+        self.sys, self.use_dg, self.dt, self.prescribed = sys, use_dg, dt, prescribed
         self.hessian = sys.ham.hessian()
         self.bonds = np.empty(2 * sys.n)  # (flows; efforts), refilled by every residual
         self.bond_parts = np.split(self.bonds, np.cumsum([sys.n_s, sys.n_r, sys.n_p, sys.n_s, sys.n_r]))
@@ -168,16 +167,14 @@ class _StepMap:
         x_mid = 0.5 * (x0 + x1)
         flow_s, f_r, f_p, g, e_r, e_p = self.bond_parts
         np.divide(np.subtract(x0, x1, out=flow_s), self.dt, out=flow_s)  # x0 - x1 first, then / dt
-        f_r[:], e_r[:], f_p[:], e_p[:] = _channels(sys, self.effort_prescribed, z[x0.size:],
-                                                   x_mid, self.u)
+        f_r[:], e_r[:], f_p[:], e_p[:] = _channels(sys, z[x0.size:], x_mid, self.u)
         g[:] = discrete_gradient(sys.ham, x0, x1) if self.use_dg else ham_grad(sys.ham, x_mid)
         return sys.dirac.stacked @ self.bonds
 
     def jacobian(self, z):
         """The step Jacobian at z: CSC if the structure's ``sparse_linalg`` holds, else dense."""
         d, n_s, x1 = self.sys.dirac, self.x0.size, z[: self.x0.size]
-        j_g, aux = self.gradient_jacobian(x1), _aux_block(self.sys, self.effort_prescribed,
-                                                          0.5 * (self.x0 + x1))
+        j_g, aux = self.gradient_jacobian(x1), _aux_block(self.sys, 0.5 * (self.x0 + x1))
         if not d.sparse_linalg:
             return np.hstack([-dense(d.F_s) / self.dt + dense(d.G_s) @ dense(j_g), aux])
         import scipy.sparse
@@ -187,35 +184,33 @@ class _StepMap:
                                     aux], format="csc")
 
     def run(self, solver, x, v):
-        """Fill x[1:] and v[1:] (see ``_solve_steps``); returns the largest step residual.
+        """Fill x[1:] and v[1:] (see ``_NewtonSolver.solve_steps``); the solver counts.
 
         A Newton map solves each step in turn.  An affine map's step k has the
-        residual K z + L x_k + P u_k + c with K = [-F_s/dt + G_s H/2, C],
-        L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s grad H(0).
-        With y_k = (x_k; u_k; 1) and K S = [L, P, c], step k's exact solution
+        residual K z + L x_k + P u_k + c with K = [-F_s/dt + G_s H/2, C] (``jacobian``
+        at any z), L = F_s/dt + G_s H/2, P = F_p (I - D_m) + G_p D_m and c = G_s grad
+        H(0).  With y_k = (x_k; u_k; 1) and K S = [L, P, c], step k's exact solution
         is z_{k+1} = -S y_k: x_{k+1} = A x_k + w_k with (A, W) = -S_x and
         w_k = W (u_k; 1).  A chunk from x_k folds A x_k into w_k and takes the
         prefix scan x_{k+i+1} = sum_j A^(i-j) w_{k+j}: doubling levels (Hillis &
         Steele 1986) to the depth d that ``_CALL_FLOPS`` sets, then a carry
-        across windows of 2^d rows.  ``_NewtonSolver.solve``'s test certifies the
-        chunk; its first failing step is Newton-solved.
+        across windows of 2^d rows.  Newton's test certifies the chunk; its
+        first failing step is Newton-solved.
         """
         n_steps, n_s = len(self.prescribed), x.shape[1]
         if self.name == "newton":
-            return _solve_steps(self, solver, x, v, 0, n_steps)
-        d, m = self.sys.dirac, self.effort_prescribed.astype(float)
+            solver.solve_steps(self, x, v, 0, n_steps)
+            return
+        d, m = self.sys.dirac, self.sys.effort_prescribed.astype(float)
         f_s, g_s, f_p, g_p = (dense(block) for block in (d.F_s, d.G_s, d.F_p, d.G_p))
         half_gh = 0.5 * (g_s @ self.hessian)
-        # the relation does not depend on the state, so any state resolves it
-        k_mat = np.hstack([-f_s / self.dt + half_gh,
-                           _aux_block(self.sys, self.effort_prescribed, None)])
         maps = np.hstack([f_s / self.dt + half_gh, f_p * (1.0 - m) + g_p * m,
                           (g_s @ self.sys.ham.gradient(np.zeros(n_s)))[:, None]])
-        if d.sparse_linalg:
-            import scipy.sparse
+        self.start(0, x[0])
+        k_mat = self.jacobian(np.concatenate([x[0], v[0]]))
         try:
             # K is factored once: condition, singular and non-finite checks
-            solver.factor(scipy.sparse.csc_array(k_mat) if d.sparse_linalg else k_mat)
+            solver.factor(k_mat)
             # Fortran order makes the transposed blocks the scan multiplies by C-contiguous
             minus_s = np.asfortranarray(-solver.apply_inverse(maps))
         except NewtonError as exc:
@@ -227,9 +222,9 @@ class _StepMap:
 
         squares = [minus_s[:n_s, :n_s].T]  # (A^T)^(2^j), extended as the chunks grow
         depth = max(0, (_CALL_FLOPS // max(1, n_s * n_s)).bit_length() - 2)
-        cap, tol = max(1, _CHUNK_CELLS // self.sys.n), solver.cfg.newton_tol
+        cap, k_mat = max(1, _CHUNK_CELLS // self.sys.n), dense(k_mat)  # the certificate's K
         k_x, k_v, maps_t = k_mat[:, :n_s].T, k_mat[:, n_s:].T, maps.T
-        max_residual, k, length = 0.0, 0, min(_CHUNK, cap)
+        k, length = 0, min(_CHUNK, cap)
         while k < n_steps:
             end = min(k + length, n_steps)
             y = np.empty((end - k, maps.shape[1]))
@@ -260,36 +255,15 @@ class _StepMap:
                 r, r0 = kz[1:] + rhs, kz[:-1] + rhs
                 norm = np.sqrt(np.einsum("ij,ij->i", r, r))
                 norm0 = np.sqrt(np.einsum("ij,ij->i", r0, r0))
-                failed = np.flatnonzero(~((norm <= tol * (1.0 + norm0)) & np.isfinite(norm)))
+                failed = np.flatnonzero(~(np.isfinite(norm) & (norm <= solver.tolerance(norm0))))
             certified = int(failed[0]) if failed.size else end - k
-            max_residual = max(max_residual, float(norm[:certified].max(initial=0.0)))
+            solver.max_residual = max(solver.max_residual, float(norm[:certified].max(initial=0.0)))
             solver.iterations += certified
             k += certified
             length = min(2 * length, cap) if k == end else max(1, length // 2)
             if k < end:
-                max_residual = max(max_residual, _solve_steps(self, solver, x, v, k, k + 1))
+                solver.solve_steps(self, x, v, k, k + 1)
                 k += 1
-        return max_residual
-
-
-def _solve_steps(step_map, solver, x, v, first, last):
-    """Newton-solve steps first..last-1 in turn, each from its predictor (x_k, v_k).
-
-    ``x[k]`` is the state at node k and ``v[k + 1]`` step k's auxiliaries;
-    ``v[0]`` seeds the first predictor.  Returns the largest step residual.
-    """
-    n_s, max_residual = x.shape[1], 0.0
-    for k in range(first, last):
-        step_map.start(k, x[k])
-        try:
-            z, res_norm = solver.solve(step_map, np.concatenate([x[k], v[k]]), step=k)
-        except NewtonError as exc:
-            exc.step = k
-            raise
-        x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
-        max_residual = max(max_residual, res_norm)
-        solver.solved_steps += 1
-    return max_residual
 
 
 class _NewtonSolver:
@@ -300,13 +274,37 @@ class _NewtonSolver:
     product with the inverse (Higham 2002, ch. 14: the forward error of an LU
     solve, though not its backward error, which Newton's own test checks on
     every step).  The factorization is rebuilt when progress stalls; for
-    affine problems the first one is exact and reused.
+    affine problems the first one is exact and reused.  It keeps the run's
+    counters, from Newton iterations to the largest accepted step residual.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.apply_inverse = self.condition = None
         self.rebuilds = self.iterations = self.solved_steps = 0
+        self.max_residual = 0.0
+
+    def tolerance(self, norm0):
+        """Newton's test (``SchemeConfig``) passes a finite norm at most this; norm0 at the predictor."""
+        return self.cfg.newton_tol * (1.0 + norm0)
+
+    def solve_steps(self, step_map, x, v, first, last):
+        """Newton-solve steps first..last-1 in turn, each from its predictor (x_k, v_k).
+
+        ``x[k]`` is the state at node k and ``v[k + 1]`` step k's auxiliaries;
+        ``v[0]`` seeds the first predictor.  A NewtonError carries the failed step.
+        """
+        n_s = x.shape[1]
+        for k in range(first, last):
+            step_map.start(k, x[k])
+            try:
+                z, norm = self.solve(step_map, np.concatenate([x[k], v[k]]), step=k)
+            except NewtonError as exc:
+                exc.step = k
+                raise
+            x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
+            self.max_residual = max(self.max_residual, norm)
+            self.solved_steps += 1
 
     def factor(self, jac):
         sparse = issparse(jac)
@@ -332,14 +330,12 @@ class _NewtonSolver:
         residual = step_map.residual
         r = residual(z)
         norm = math.sqrt(r @ r)
-        # tolerance relative to the step's own residual scale so the roundoff
-        # floor of the 1/dt term cannot sit above an absolute newton_tol
-        tol = cfg.newton_tol * (1.0 + norm)
+        tol = self.tolerance(norm)
         for _ in range(cfg.newton_max_iter):
-            if norm <= tol:
-                return z, norm
             if not math.isfinite(norm):
                 raise NewtonError("step residual is not finite", step=step, residual=norm)
+            if norm <= tol:
+                return z, norm
             refreshed = self.apply_inverse is None
             if refreshed:
                 self.factor(step_map.jacobian(z))
@@ -406,16 +402,15 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     if m == 0:
         return x_guess.copy(), ConsistencyReport(0.0, 0, 0.0, 0.0, False, True)
 
-    effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
     prescribed = np.array([inputs.value(i, t0) for i in range(sys.n_p)], dtype=float)
     n_aux = _aux_count(sys)
 
     def constraint(x, v):
-        f_r, e_r, f_p, e_p = _channels(sys, effort_prescribed, v, x, prescribed)
+        f_r, e_r, f_p, e_p = _channels(sys, v, x, prescribed)
         return w.T @ _bond_residual(sys, np.zeros(sys.n_s), f_r, f_p, ham_grad(sys.ham, x), e_r, e_p)
 
     def aux_jacobian(x):
-        return w.T @ _aux_block(sys, effort_prescribed, x)
+        return w.T @ _aux_block(sys, x)
 
     # the true algebraic residual at x_guess is the least-squares minimum over
     # the auxiliaries: one solve, since the constraint is linear in them
@@ -464,9 +459,8 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     Per-step channel samples are interval (midpoint) values: prescribed port
     halves are sampled at the interval midpoints t0 + (k + 1/2) dt, one pass
     over each channel's signal, so discontinuous inputs are handled without
-    event detection.  Every step must pass Newton's test: the 2-norm of its
-    residual at most ``cfg.newton_tol`` (1 + the residual's norm at the
-    predictor, the previous state and auxiliaries).  An affine step map
+    event detection.  Every step must pass Newton's test (``SchemeConfig``), with
+    the previous state and auxiliaries as its predictor.  An affine step map
     advances as a scanned linear recurrence and certifies its steps with that
     test in batches; a step that fails it is Newton-solved (module docstring).
 
@@ -481,7 +475,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     Raises
     ------
     NewtonError
-        With the failing step index if an implicit solve does not converge.
+        With the failing step index if a step's residual is not finite or Newton fails on it.
     """
     cfg = cfg or SchemeConfig()
     x0 = _state(sys, x0, "x0")
@@ -501,24 +495,22 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     if n_s + n_aux != sys.n:
         raise StructureError(f"the resistive relation needs n_aux = n_r for time stepping (the "
                              f"step system has {n_s + n_aux} unknowns for n = {sys.n} equations)")
-    effort_prescribed = np.array([c == "effort" for c in sys.causality], dtype=bool)
     prescribed = np.empty((n_steps, n_p))
     for i in range(n_p):
         prescribed[:, i] = inputs.samples(i, t0 + (np.arange(n_steps) + 0.5) * dt)
-    step_map = _StepMap(sys, cfg.scheme == "discrete_gradient", effort_prescribed, dt, prescribed)
+    step_map = _StepMap(sys, cfg.scheme == "discrete_gradient", dt, prescribed)
     solver = _NewtonSolver(cfg)
 
     t = t0 + dt * np.arange(n_steps + 1)
     x = np.empty((n_steps + 1, n_s))
     v = np.empty((n_steps + 1, n_aux))  # v[0] seeds the first predictor
     x[0], v[0] = x0, 0.0
-    max_residual = step_map.run(solver, x, v)
+    step_map.run(solver, x, v)
     v, e_r, f_p, e_p = v[1:], *(np.empty((n_steps, w)) for w in (n_aux - n_p, n_p, n_p))
     f_r = v[:, :n_aux - n_p]  # f_R overwrites the relation's own unknowns (n_aux = n_r)
     for rows in _row_blocks(n_steps, sys.n):  # no temporary grows with the run
         x_mid = 0.5 * (x[rows] + x[rows.start + 1 : rows.stop + 1])
-        f_r[rows], e_r[rows], f_p[rows], e_p[rows] = _channels(
-            sys, effort_prescribed, v[rows], x_mid, prescribed[rows])
+        f_r[rows], e_r[rows], f_p[rows], e_p[rows] = _channels(sys, v[rows], x_mid, prescribed[rows])
 
     metadata = {
         "scheme": cfg.scheme,
@@ -528,7 +520,7 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
         "step_map": step_map.name,
         "newton_iterations": solver.iterations,
         "newton_solved_steps": solver.solved_steps,
-        "max_step_residual": max_residual,
+        "max_step_residual": solver.max_residual,
         "jacobian_rebuilds": solver.rebuilds,
         "jacobian_condition": solver.condition,
     }

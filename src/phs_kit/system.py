@@ -1,6 +1,7 @@
 """System assembly, trajectories, and pointwise residuals of the inclusion."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -74,6 +75,11 @@ class PhsSystem:
     @property
     def n_p(self):
         return self.dirac.n_p
+
+    @cached_property
+    def effort_prescribed(self):
+        """One bool per port channel, True where its effort half is the prescribed input."""
+        return np.array([c == "effort" for c in self.causality], dtype=bool)
 
 
 def validate_components(dirac, ham, res=None, causality=(), dirac_tol=1e-10,

@@ -254,7 +254,7 @@ def test_simulate_reports_conditioning(oscillator):
     assert traj.metadata["jacobian_condition"] < 1e3
     assert traj.metadata["max_step_residual"] <= 1e-11
     # a dense step Jacobian is inverted, so its 1-norm condition is exact
-    step = _StepMap(oscillator, False, np.zeros(0, dtype=bool), traj.dt, np.zeros((1, 0)))
+    step = _StepMap(oscillator, False, traj.dt, np.zeros((1, 0)))
     step.start(0, traj.x[0])
     k_mat = step.jacobian(traj.x[0])
     assert traj.metadata["jacobian_condition"] == pytest.approx(np.linalg.cond(k_mat, 1), rel=1e-12)
@@ -351,13 +351,9 @@ def test_affine_step_map_matches_newton_reference(case, scheme):
                                    atol=1e-10 * np.max(np.abs(expected), initial=0.0))
 
 
-def effort_mask(sys_):
-    return np.array([c == "effort" for c in sys_.causality], dtype=bool)
-
-
 def step_unknowns(sys_, traj):
     """Each step's auxiliary unknowns v = (v_R, v_P), recovered from the channel data."""
-    free = np.where(effort_mask(sys_), traj.f_p, traj.e_p)
+    free = np.where(sys_.effort_prescribed, traj.f_p, traj.e_p)
     if sys_.res is None:
         return free
     a, b = sys_.res.linear_maps()
@@ -372,8 +368,8 @@ def test_every_affine_step_meets_the_newton_test(case, scheme):
     sys_, x0, inputs = affine_cases()[case]
     cfg = SchemeConfig(scheme=scheme, dt=1e-3)
     traj = simulate(sys_, x0, inputs, (0.0, 2.0), cfg)
-    prescribed = np.where(effort_mask(sys_), traj.e_p, traj.f_p)
-    step = _StepMap(sys_, scheme == "discrete_gradient", effort_mask(sys_), traj.dt, prescribed)
+    prescribed = np.where(sys_.effort_prescribed, traj.e_p, traj.f_p)
+    step = _StepMap(sys_, scheme == "discrete_gradient", traj.dt, prescribed)
     # z_k = (x_k, v_{k-1}) is step k-1's solution and step k's predictor
     z = np.hstack([traj.x, np.vstack([np.zeros(sys_.n - sys_.n_s), step_unknowns(sys_, traj)])])
     worst = 0.0
@@ -410,8 +406,7 @@ def test_step_residual_is_the_assembled_bond_vector_product(case, scheme):
     # concatenates flows and efforts and takes the two products F f + G e
     sys_, dt, use_dg = residual_cases()[case], 1e-3, scheme == "discrete_gradient"
     rng = np.random.default_rng(11)
-    mask = effort_mask(sys_)
-    step = _StepMap(sys_, use_dg, mask, dt, rng.standard_normal((2, sys_.n_p)))
+    step = _StepMap(sys_, use_dg, dt, rng.standard_normal((2, sys_.n_p)))
     abs_f, abs_g = abs(sys_.dirac.F), abs(sys_.dirac.G)
     for k in range(2):
         x0 = rng.standard_normal(sys_.n_s)
@@ -419,7 +414,7 @@ def test_step_residual_is_the_assembled_bond_vector_product(case, scheme):
         for _ in range(3):
             z = rng.standard_normal(sys_.n)
             x1, x_mid = z[: sys_.n_s], 0.5 * (x0 + z[: sys_.n_s])
-            f_r, e_r, f_p, e_p = _channels(sys_, mask, z[sys_.n_s:], x_mid, step.u)
+            f_r, e_r, f_p, e_p = _channels(sys_, z[sys_.n_s:], x_mid, step.u)
             g = pk.discrete_gradient(sys_.ham, x0, x1) if use_dg else pk.ham_grad(sys_.ham, x_mid)
             flows = np.concatenate([-(x1 - x0) / dt, f_r, f_p])
             efforts = np.concatenate([g, e_r, e_p])
@@ -435,7 +430,7 @@ def stepwise_reference(sys_, x0, inputs, t1, cfg):
     signal = pk.PortSignal.coerce(inputs)
     prescribed = np.array([[signal.value(i, (k + 0.5) * dt) for i in range(sys_.n_p)]
                            for k in range(n_steps)]).reshape(n_steps, sys_.n_p)
-    step = _StepMap(sys_, False, effort_mask(sys_), dt, prescribed)
+    step = _StepMap(sys_, False, dt, prescribed)
     solver = _NewtonSolver(cfg)
     z = np.concatenate([x0, np.zeros(sys_.n - sys_.n_s)])
     x = [x0]
@@ -529,6 +524,46 @@ def test_newton_tol_below_the_roundoff_floor_stalls(damped):
     assert err.value.step is not None
 
 
+@pytest.mark.parametrize("case", ["steep_energy", "huge_input"])
+def test_a_step_whose_residual_norm_overflows_is_refused(case):
+    # ||r0|| overflows at the predictor, where newton_tol (1 + inf) would accept any step
+    if case == "steep_energy":
+        steep = pk.GeneralHamiltonian(value_fn=lambda x: 5e299 * float(x @ x),
+                                      gradient_fn=lambda x: 1e300 * x, dim=2)
+        dirac = pk.DiracKernelRep(F=np.eye(2), G=np.array([[0.0, 1.0], [-1.0, 0.0]]), n_s=2)
+        sys_, x0, inputs = pk.assemble(dirac, steep, None, ()), [1.0, 0.0], None
+    else:
+        sys_, x0, inputs = pk.forced_oscillator(), [0.0, 0.0], {0: 1e200}
+    with np.errstate(over="ignore"), pytest.raises(pk.NewtonError, match="not finite") as err:
+        simulate(sys_, x0, inputs, (0.0, 3e-3), SchemeConfig(dt=1e-3))
+    assert err.value.step == 0
+
+
+def test_simulate_refuses_a_relation_whose_unknowns_are_not_n_r(damped):
+    # n_r = 1 resistive port, but the image relation f_R = A lam, e_R = B lam has two unknowns
+    sys_ = pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[1.0, 0.0]], B=[[-1.0, 0.0]]), ())
+    with pytest.raises(pk.StructureError, match="needs n_aux = n_r"):
+        simulate(sys_, [1.0, 0.0], None, (0.0, 0.01), SchemeConfig())
+
+
+def test_a_zero_tolerance_stalls_the_affine_scan_at_its_first_step(monkeypatch, damped):
+    # the scan's certificate and its Newton fallback read the one tolerance
+    monkeypatch.setattr(_NewtonSolver, "tolerance", lambda self, norm0: 0.0 * norm0)
+    with pytest.raises(pk.NewtonError, match="stalled") as err:
+        simulate(damped, [1.0, 0.0], None, (0.0, 1.0), SchemeConfig())
+    assert err.value.step == 0
+
+
+def test_a_huge_tolerance_accepts_every_newton_predictor(monkeypatch):
+    monkeypatch.setattr(_NewtonSolver, "tolerance", lambda self, norm0: 1e300 * (1.0 + norm0))
+    sys_, grid = pk.make_example("string", N=8, force="tanh")
+    x0 = np.concatenate([np.zeros(9), 0.4 * np.sin(np.pi * grid["h"] * (np.arange(8) + 0.5))])
+    traj = simulate(sys_, x0, {1: 0.2}, (0.0, 0.01), SchemeConfig())
+    assert traj.metadata["step_map"] == "newton"
+    assert traj.metadata["newton_iterations"] == 0 and traj.metadata["jacobian_rebuilds"] == 0
+    assert np.array_equal(traj.x, np.broadcast_to(x0, traj.x.shape))
+
+
 def test_simulate_a_system_without_states():
     # one resistor across one effort-prescribed port: f_R + f_P = 0, e_R = e_P
     dirac = pk.DiracKernelRep(F=[[1.0, 1.0], [0.0, 0.0]], G=[[0.0, 0.0], [1.0, -1.0]],
@@ -558,9 +593,7 @@ def test_newton_step_jacobian_matches_central_differences(scheme):
     rng = np.random.default_rng(7)
     cells = grid["h"] * (np.arange(8) + 0.5)
     x0 = np.concatenate([0.1 * rng.standard_normal(9), 0.4 * np.sin(np.pi * cells)])
-    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _StepMap(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
-                    np.array([[0.3, -0.2]]))
+    step = _StepMap(sys_, scheme == "discrete_gradient", 1e-2, np.array([[0.3, -0.2]]))
     step.start(0, x0)
     z = np.concatenate([x0 + 0.05 * rng.standard_normal(x0.size),
                         rng.standard_normal(sys_.n - x0.size)])
@@ -582,15 +615,13 @@ def tanh_string_step_jacobian(n_cells, scheme):
     rng = np.random.default_rng(7)
     x0 = np.concatenate([0.1 * rng.standard_normal(n_cells + 1),
                          0.4 * np.sin(np.pi * grid["h"] * (np.arange(n_cells) + 0.5))])
-    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _StepMap(sys_, scheme == "discrete_gradient", effort_prescribed, 1e-2,
-                    np.array([[0.3, -0.2]]))
+    step = _StepMap(sys_, scheme == "discrete_gradient", 1e-2, np.array([[0.3, -0.2]]))
     step.start(0, x0)
     x1 = x0 + 0.05 * rng.standard_normal(x0.size)
     jac = step.jacobian(np.concatenate([x1, rng.standard_normal(sys_.n - x0.size)]))
     d = sys_.dirac
     dense = np.hstack([-d.F_s / step.dt + d.G_s @ step.gradient_jacobian(x1).toarray(),
-                       _aux_block(sys_, effort_prescribed, 0.5 * (x0 + x1))])
+                       _aux_block(sys_, 0.5 * (x0 + x1))])
     return jac, dense
 
 
@@ -616,8 +647,7 @@ def test_sparse_condition_estimate_matches_dgecon():
     condition = traj.metadata["jacobian_condition"]
     assert type(condition) is float
     # the first factorization happens at the predictor of step 0
-    effort_prescribed = np.array([c == "effort" for c in sys_.causality])
-    step = _StepMap(sys_, False, effort_prescribed, traj.dt,
+    step = _StepMap(sys_, False, traj.dt,
                     np.array([[inputs[1](0.5 * traj.dt) if i == 1 else 0.0
                                for i in range(sys_.n_p)]]))
     step.start(0, x0)

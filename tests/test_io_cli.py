@@ -681,6 +681,26 @@ def test_cli_simulate_newton_stall_exits_3(runner, tmp_path):
     assert result.stderr.startswith("solver failure: ") and "stalled" in result.stderr
 
 
+def test_cli_simulate_overflowing_residual_exits_3(runner, tmp_path):
+    sys_path, out = tmp_path / "forced.json", tmp_path / "x.csv"
+    runner.invoke(main, ["example", "forced_oscillator", "--out", str(sys_path)])
+    with np.errstate(over="ignore"):  # ||r||^2 overflows at the predictor
+        result = runner.invoke(main, ["simulate", str(sys_path), "--t1", "0.003",
+                                      "--input", "0=1e300", "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr == "solver failure: step residual is not finite\n"
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_relation_whose_unknowns_are_not_n_r(runner, tmp_path):
+    damped = pk.damped_oscillator(1.0)
+    sys_ = pk.assemble(damped.dirac, damped.ham, pk.Parametric(A=[[1.0, 0.0]], B=[[-1.0, 0.0]]), ())
+    pk.save_system(sys_, tmp_path / "wide.json")
+    result = runner.invoke(main, ["simulate", str(tmp_path / "wide.json"), "--x0", "1,0"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "needs n_aux = n_r" in result.stderr
+
+
 def test_cli_check_detects_corruption(runner, tmp_path):
     sys_path = tmp_path / "osc.json"
     runner.invoke(main, ["example", "oscillator", "--out", str(sys_path)])

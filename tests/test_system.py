@@ -39,6 +39,14 @@ def test_assemble_rejects_bad_causality(forced):
         assemble(forced.dirac, forced.ham, None, ("voltage",))
 
 
+def test_effort_prescribed_follows_the_causality(oscillator):
+    spec = pk.StringSpec(N=8, force=pk.discretize.NamedForce("tanh"))
+    mixed, _ = pk.string_system(spec, causality=("effort", "flow"))
+    assert mixed.effort_prescribed.dtype == bool
+    assert mixed.effort_prescribed.tolist() == [True, False]
+    assert oscillator.effort_prescribed.shape == (0,)
+
+
 def test_assemble_rejects_missing_resistive(damped):
     with pytest.raises(pk.StructureError):
         assemble(damped.dirac, damped.ham, None, ())

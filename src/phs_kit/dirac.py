@@ -15,8 +15,8 @@ bond data (``DiracKernelRep.residual``) follow one rule, decided by n alone:
 dense blocks below ``SPARSE_MIN_N`` bonds, the CSR view of F and G from
 ``SPARSE_MIN_N`` bonds on, whatever the stored form.  One bond vector is
 multiplied by the stacked operator [F | G] in one product; the few readers
-that need dense blocks (the SVDs, small validations) densify them with
-``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so a small
+that need dense blocks (the geometry below, small validations) densify them
+with ``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so a small
 dense structure never loads it.
 
 Validation decides both conditions from n x n products, never from an SVD of
@@ -26,6 +26,10 @@ validation and for the step Jacobians of ``integrate`` alike: below
 ``SPARSE_MIN_N`` bonds, or for blocks that are not sparse, the products and
 the eigenvalues are dense; otherwise they use the CSR view of F and G, SuperLU
 and shift-invert Lanczos.
+
+The geometry takes no 2n-wide SVD: one SVD of F_s splits ker(F_s) ⊕ im(F_s^T),
+one of F_s^T gives W = ker(F_s^T), and by ker[F, G] = im[G^T; F^T] the thin QR
+factors of [G^T; F^T] W and [F, G]^T give D0 and the distance to D.
 """
 
 import math
@@ -288,23 +292,32 @@ class ExtrapolationSplit:
 
     ``kernel_basis`` spans ker(F_s) (state directions whose derivative is
     annihilated by the structure) and ``coenergy_basis`` spans im(F_s^T), the
-    space of occurring co-energy variables.  The projectors are the orthogonal
-    projectors onto the two subspaces and sum to the identity.
+    space of occurring co-energy variables.  The rest is read from these two
+    orthonormal bases; the two orthogonal projectors sum to the identity.
     """
 
     kernel_basis: np.ndarray
     coenergy_basis: np.ndarray
-    projector_kernel: np.ndarray
-    projector_coenergy: np.ndarray
-    rank: int = 0
 
     @property
     def n_s(self):
-        return self.projector_kernel.shape[0]
+        return self.kernel_basis.shape[0]
+
+    @property
+    def rank(self):
+        return self.coenergy_basis.shape[1]
 
     @property
     def kernel_dim(self):
         return self.kernel_basis.shape[1]
+
+    @property
+    def projector_kernel(self):
+        return self.kernel_basis @ self.kernel_basis.T
+
+    @property
+    def projector_coenergy(self):
+        return self.coenergy_basis @ self.coenergy_basis.T
 
 
 def validate_kernel(rep, tol=1e-10):
@@ -407,55 +420,48 @@ def image_to_kernel(rep):
     return DiracKernelRep(F=rep.L.T, G=rep.K.T, n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
 
 
-def _kernel_basis_2n(rep):
-    """Orthonormal basis (2n x n) of ker[F, G] for a validated representation."""
-    return subspace_bases(dense(rep.stacked))[1]
+def _algebraic_basis(rep):
+    """Orthonormal basis of W = ker(F_s^T): the row combinations of [F, G] free of state flows."""
+    return subspace_bases(dense(rep.F_s).T)[1]
 
 
 def distance_to_structure(rep, d):
     """Euclidean distance from a bond vector to the subspace ker[F, G].
 
-    Computed by orthogonal projection onto an orthonormal null-space basis;
-    zero (up to roundoff) exactly for members.
+    ||Q^T (f; e)||, Q the thin QR factor of [F, G]^T: the projection onto the
+    orthogonal complement of ker[F, G], zero (up to roundoff) exactly for
+    members.  Requires rank [F, G] = n; otherwise the result is not defined.
     """
     if d.n != rep.n:
         raise StructureError(f"bond vector dimension {d.n} does not match structure n = {rep.n}")
-    basis = _kernel_basis_2n(rep)
-    v = d.stacked()
-    return float(np.linalg.norm(v - basis @ (basis.T @ v)))
+    q = np.linalg.qr(dense(rep.stacked).T)[0]
+    return float(np.linalg.norm(q.T @ d.stacked()))
 
 
 def substructure_D0(rep):
     """Orthonormal basis of D0 = D ∩ {co-energy block = 0}.
 
     D0 collects the bond vectors of the structure whose state-effort block
-    vanishes; its dimension satisfies dim D0 = n - rank(F_s).
+    vanishes.  In the image form D = im[G^T; F^T] that block is F_s^T λ, so D0
+    is the image of W = ker(F_s^T) and dim D0 = n - rank(F_s): the basis is the
+    thin QR factor of [G^T; F^T] W.  Requires a valid Dirac structure (rank n
+    and skew); otherwise the result is not defined.
 
     Returns
     -------
     ndarray, shape (2n, dim D0)
     """
-    n = rep.n
-    selector = np.zeros((rep.n_s, 2 * n))
-    selector[:, n : n + rep.n_s] = np.eye(rep.n_s)
-    stacked = np.vstack([dense(rep.stacked), selector])
-    return subspace_bases(stacked)[1]
+    image = kernel_to_image(rep)
+    return np.linalg.qr(np.vstack([image.K, image.L]) @ _algebraic_basis(rep))[0]
 
 
 def extrapolation_split(rep_or_matrix):
     """Split the state space into ker(F_s) ⊕ im(F_s^T).
 
-    Accepts a DiracKernelRep or a bare F_s matrix.  The co-energy part is the
-    row space of F_s; its orthogonal complement in R^{n_s} is ker(F_s).  Both
-    orthogonal projectors are returned; they are symmetric, idempotent,
-    mutually annihilating and sum to the identity.
+    Accepts a DiracKernelRep or a bare F_s matrix, dense or scipy.sparse.  The
+    co-energy part is the row space of F_s; its orthogonal complement in
+    R^{n_s} is ker(F_s).  Both come from one SVD of F_s.
     """
-    if isinstance(rep_or_matrix, DiracKernelRep):
-        f_s = dense(rep_or_matrix.F_s)
-    else:
-        f_s = as_matrix(rep_or_matrix, "F_s")
-    coenergy, kernel = subspace_bases(f_s)
-    return ExtrapolationSplit(kernel_basis=kernel, coenergy_basis=coenergy,
-                              projector_kernel=kernel @ kernel.T,
-                              projector_coenergy=coenergy @ coenergy.T, rank=coenergy.shape[1])
-
+    f_s = rep_or_matrix.F_s if isinstance(rep_or_matrix, DiracKernelRep) else rep_or_matrix
+    coenergy, kernel = subspace_bases(as_matrix(dense(f_s), "F_s"))
+    return ExtrapolationSplit(kernel_basis=kernel, coenergy_basis=coenergy)

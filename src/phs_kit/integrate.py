@@ -39,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import EPS, _fd_jacobian, dense, issparse, subspace_bases
+from ._linalg import EPS, _fd_jacobian, dense, issparse
+from .dirac import _algebraic_basis
 from .energy import _AVF_NODES, _AVF_WEIGHTS, discrete_gradient, ham_grad
 from .errors import NewtonError, StructureError
 from .system import PortSignal, Trajectory, _bond_residual, _row_blocks
@@ -295,16 +296,18 @@ class _NewtonSolver:
         ``v[0]`` seeds the first predictor.  A NewtonError carries the failed step.
         """
         n_s = x.shape[1]
-        for k in range(first, last):
-            step_map.start(k, x[k])
-            try:
-                z, norm = self.solve(step_map, np.concatenate([x[k], v[k]]), step=k)
-            except NewtonError as exc:
-                exc.step = k
-                raise
-            x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
-            self.max_residual = max(self.max_residual, norm)
-            self.solved_steps += 1
+        # an overflowing residual is refused by ``solve``'s finiteness test, not by a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(first, last):
+                step_map.start(k, x[k])
+                try:
+                    z, norm = self.solve(step_map, np.concatenate([x[k], v[k]]), step=k)
+                except NewtonError as exc:
+                    exc.step = k
+                    raise
+                x[k + 1], v[k + 1] = z[:n_s], z[n_s:]
+                self.max_residual = max(self.max_residual, norm)
+                self.solved_steps += 1
 
     def factor(self, jac):
         sparse = issparse(jac)
@@ -397,7 +400,7 @@ def consistent_init(sys, x_guess, inputs=None, t0=0.0, tol=1e-10, max_iter=50):
     x_guess = _state(sys, x_guess, "x_guess")
     inputs = PortSignal.coerce(inputs)
     inputs.validate_channels(sys)
-    w = subspace_bases(dense(sys.dirac.F_s).T)[1]
+    w = _algebraic_basis(sys.dirac)
     m = w.shape[1]
     if m == 0:
         return x_guess.copy(), ConsistencyReport(0.0, 0, 0.0, 0.0, False, True)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import phs_kit as pk
-from phs_kit.dirac import _kernel_basis_2n
+from phs_kit._linalg import dense
 
 
 def random_skew(rng, n):
@@ -45,7 +46,7 @@ def self_orthogonality_defect(rep):
     Diagnostic for the forward direction of the Dirac property; zero up to
     roundoff for valid structures.
     """
-    basis = _kernel_basis_2n(rep)
+    basis = scipy.linalg.null_space(np.hstack([dense(rep.F), dense(rep.G)]))
     n = rep.n
     fs, es = basis[:n, :], basis[n:, :]
     gram = fs.T @ es + es.T @ fs

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +7,8 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import phs_kit as pk
-from phs_kit._linalg import dense
-from phs_kit.dirac import SPARSE_MIN_N
+from phs_kit._linalg import dense, subspace_bases
+from phs_kit.dirac import SPARSE_MIN_N, _algebraic_basis
 
 from conftest import random_dirac, self_orthogonality_defect, subspace_mismatch
 
@@ -355,6 +357,28 @@ def test_extrapolation_split_projector_identities(rng):
         assert p_k @ x + p_c @ x == pytest.approx(x, abs=1e-12)
 
 
+def test_extrapolation_split_accepts_a_sparse_f_s(rng):
+    assert np.array_equal(pk.extrapolation_split(scipy.sparse.csr_array(np.eye(2))).projector_coenergy,
+                          np.eye(2))
+    f_s = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+    sparse, dense_ = (pk.extrapolation_split(form(f_s)) for form in (scipy.sparse.csr_array, np.asarray))
+    assert sparse.rank == dense_.rank == 2
+    assert np.array_equal(sparse.kernel_basis, dense_.kernel_basis)
+
+
+def test_extrapolation_split_keeps_only_its_two_bases(rng):
+    assert [f.name for f in dataclasses.fields(pk.ExtrapolationSplit)] == ["kernel_basis",
+                                                                         "coenergy_basis"]
+    for (rows, cols, rank) in ((5, 4, 2), (3, 6, 3), (4, 4, 4), (2, 3, 0)):
+        f_s = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        split = pk.extrapolation_split(f_s)
+        k, c = split.kernel_basis, split.coenergy_basis
+        assert (split.n_s, split.rank, split.kernel_dim) == (cols, c.shape[1], k.shape[1])
+        assert (split.rank, split.kernel_dim) == (rank, cols - rank)
+        assert np.array_equal(split.projector_kernel, k @ k.T)
+        assert np.array_equal(split.projector_coenergy, c @ c.T)
+
+
 def test_self_orthogonality_invariant(rng):
     for n in (2, 4, 6, 10):
         rep = random_dirac(rng, n)
@@ -370,6 +394,51 @@ def test_maximality_dimension(rng):
 def _with_form(rep, form):
     """The same structure with F and G stored dense or as scipy.sparse arrays."""
     return pk.DiracKernelRep(F=form(rep.F), G=form(rep.G), n_s=rep.n_s, n_r=rep.n_r, n_p=rep.n_p)
+
+
+def _reference_geometry(rep):
+    """D0 and ker[F, G] from SVDs of 2n-wide matrices, the formulas the geometry replaced.
+
+    D0 is the null space of [[F, G], [0, S_e]], S_e selecting the co-energy
+    block of the efforts; the distance projects onto the null space of [F, G].
+    """
+    n, stacked = rep.n, np.hstack([dense(rep.F), dense(rep.G)])
+    selector = np.zeros((rep.n_s, 2 * n))
+    selector[:, n : n + rep.n_s] = np.eye(rep.n_s)
+    return subspace_bases(np.vstack([stacked, selector]))[1], subspace_bases(stacked)[1]
+
+
+def _geometry_cases():
+    rng = np.random.default_rng(20261022)
+    for n in range(2, 13):
+        for band in (None, 2):
+            yield pytest.param(random_dirac(rng, n, band=band), id=f"random-{n}-band{band}")
+    for kind in ("string", "diffusion"):
+        for n in (8, 64, 128):
+            rep = pk.make_example(kind, N=n)[0].dirac
+            yield pytest.param(_with_form(rep, dense), id=f"{kind}-{n}-dense")
+            yield pytest.param(_with_form(rep, scipy.sparse.csr_array), id=f"{kind}-{n}-sparse")
+
+
+@pytest.mark.parametrize("rep", list(_geometry_cases()))
+def test_image_form_geometry_matches_the_2n_wide_svds(rep):
+    n, stacked = rep.n, np.hstack([dense(rep.F), dense(rep.G)])
+    roundoff = 10 * n * np.finfo(float).eps
+    d0, (d0_reference, kernel_reference) = pk.substructure_D0(rep), _reference_geometry(rep)
+    assert d0.shape == d0_reference.shape == (2 * n, n - np.linalg.matrix_rank(dense(rep.F_s)))
+    assert subspace_mismatch(d0, d0_reference) <= 1e-10
+    if d0.size:
+        assert np.linalg.norm(stacked @ d0, axis=0).max() <= roundoff * np.linalg.norm(stacked, 2)
+        assert abs(d0[n : n + rep.n_s]).max() <= roundoff
+        assert abs(d0.T @ d0 - np.eye(d0.shape[1])).max() <= roundoff
+    w = _algebraic_basis(rep)
+    assert w.shape[1] == d0.shape[1]
+    assert abs(dense(rep.F_s).T @ w).max() <= roundoff * np.linalg.norm(dense(rep.F_s), 2)
+    rng = np.random.default_rng(n)
+    for v in rng.standard_normal((4, 2 * n)):
+        expected = np.linalg.norm(v - kernel_reference @ (kernel_reference.T @ v))
+        distance = pk.distance_to_structure(rep, pk.BondVector(v[:n], v[n:]))
+        assert abs(distance - expected) <= 1e-12 * max(1.0, expected)
 
 
 @pytest.mark.parametrize("kind, n", [("string", 8), ("diffusion", 8), ("string", 128),

@@ -200,6 +200,10 @@ def cmd_check(system_file, trajectory_file, mode, **bounds):
     except FileFormatError as exc:
         click.echo(f"parse error: {exc}", err=True)
         _sys.exit(2)
+    for name in ("x", "f_r", "e_r", "f_p", "e_p"):
+        if not np.isfinite(getattr(traj, name)).all():  # the audits would print NaN, not JSON
+            click.echo(f"error: trajectory {name} holds a sample that is not finite", err=True)
+            _sys.exit(2)
     report = {"mode": mode, **bounds, "passed": True}
     for block, (audit, figure, bound) in _BLOCKS.items():
         if mode not in (block, "all"):

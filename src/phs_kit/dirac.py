@@ -10,22 +10,20 @@ image form im[K; L].  A structure in kernel form is valid iff rank [F, G] = n
 and F G^T + G F^T = 0, in which case ker[F, G] = im[G^T; F^T].
 
 A kernel form keeps F and G as given: dense arrays, or scipy.sparse arrays
-(stored as CSR), which is how the discretizers build them.  Products with
-bond data (``DiracKernelRep.residual``) follow one rule, decided by n alone:
-dense blocks below ``SPARSE_MIN_N`` bonds, the CSR view of F and G from
-``SPARSE_MIN_N`` bonds on, whatever the stored form.  One bond vector is
-multiplied by the stacked operator [F | G] in one product; the few readers
-that need dense blocks (the geometry below, small validations) densify them
-with ``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so a small
-dense structure never loads it.
+(stored as CSR), which is how the discretizers build them.  One rule,
+``DiracKernelRep.sparse_linalg``, decides how every stage applies them: from
+``SPARSE_MIN_N`` bonds on, with at most ``SPARSE_MAX_ROW_NNZ`` nonzeros per
+row of F and G, the products (``DiracKernelRep.residual``), validation and the
+step Jacobians of ``integrate`` use the CSR view of F and G, SuperLU and
+shift-invert Lanczos; any other structure is multiplied, validated and
+factored dense, whatever its stored form.  One bond vector is multiplied by
+the stacked operator [F | G] in one product; the geometry below densifies the
+blocks with ``_linalg.dense``.  ``scipy.sparse`` is imported on first use, so
+a structure stored dense that the rule keeps dense never loads it.
 
 Validation decides both conditions from n x n products, never from an SVD of
 [F, G]: the skew defect from F G^T, the rank from the smallest eigenvalue of
-the Gram matrix F F^T + G G^T.  ``DiracKernelRep.sparse_linalg`` decides, for
-validation and for the step Jacobians of ``integrate`` alike: below
-``SPARSE_MIN_N`` bonds, or for blocks that are not sparse, the products and
-the eigenvalues are dense; otherwise they use the CSR view of F and G, SuperLU
-and shift-invert Lanczos.
+the Gram matrix F F^T + G G^T.
 
 The geometry takes no 2n-wide SVD: one SVD of F_s splits ker(F_s) ⊕ im(F_s^T),
 one of F_s^T gives W = ker(F_s^T), and by ker[F, G] = im[G^T; F^T] the thin QR
@@ -57,10 +55,10 @@ __all__ = [
     "extrapolation_split",
 ]
 
-# Validation and step Jacobians go sparse from SPARSE_MIN_N bonds (the measured
-# crossover on the string and diffusion), unless F and G hold more than
+# Products, validation and step Jacobians go sparse from SPARSE_MIN_N bonds (the
+# measured crossover on the string and diffusion), unless F and G hold more than
 # SPARSE_MAX_ROW_NNZ nonzeros per row: on dense blocks CSR products and SuperLU
-# lose to dense LAPACK (``DiracKernelRep.sparse_linalg``).
+# lose to dense BLAS and LAPACK (``DiracKernelRep.sparse_linalg``).
 SPARSE_MIN_N = 200
 SPARSE_MAX_ROW_NNZ = 16
 
@@ -139,9 +137,8 @@ class DiracKernelRep:
     def csr(self):
         """(F, G) as scipy.sparse CSR arrays: the stored ones, or built from dense blocks on first use.
 
-        ``residual`` multiplies through this view from SPARSE_MIN_N bonds on, as
-        do validation and the step Jacobians when ``sparse_linalg`` holds.
-        Reading it imports ``scipy.sparse``.
+        The form of ``_product_blocks`` when ``sparse_linalg`` holds.  Reading it
+        imports ``scipy.sparse``.
         """
         import scipy.sparse
 
@@ -149,23 +146,25 @@ class DiracKernelRep:
 
     @cached_property
     def sparse_linalg(self):
-        """True iff validation and step Jacobians use the CSR view, SuperLU and Lanczos.
+        """True iff products, validation and step Jacobians use the CSR view, SuperLU and Lanczos.
 
         From SPARSE_MIN_N bonds on, unless F and G hold more than
-        SPARSE_MAX_ROW_NNZ nonzeros per row.  It counts nonzeros, not the stored
-        form, so dense and sparse copies of one structure factor alike.
+        SPARSE_MAX_ROW_NNZ nonzeros per row.  It counts the nonzeros of the
+        stored blocks, not their form, so dense and sparse copies of one
+        structure are applied alike; no CSR copy is built to decide.
         """
-        return self.n >= SPARSE_MIN_N and sum(b.nnz for b in self.csr) <= SPARSE_MAX_ROW_NNZ * self.n
+        return self.n >= SPARSE_MIN_N and sum(
+            b.nnz if issparse(b) else np.count_nonzero(b) for b in (self.F, self.G)
+        ) <= SPARSE_MAX_ROW_NNZ * self.n
 
     @cached_property
     def _product_blocks(self):
-        """(F, G) as ``residual`` multiplies a batch: dense below SPARSE_MIN_N bonds, else the CSR view.
+        """(F, G) in the form every stage applies them: the CSR view if ``sparse_linalg`` holds, else dense.
 
-        n alone decides, not the stored form.  At a few bonds one dense product
-        costs a fraction of a CSR dispatch; from SPARSE_MIN_N bonds on a dense
-        product is O(n^2) per bond vector.
+        ``residual`` multiplies a batch by them, ``validate_kernel`` forms its
+        products from them and the step Jacobians slice their state columns.
         """
-        return (dense(self.F), dense(self.G)) if self.n < SPARSE_MIN_N else self.csr
+        return self.csr if self.sparse_linalg else (dense(self.F), dense(self.G))
 
     @cached_property
     def stacked(self):
@@ -174,11 +173,11 @@ class DiracKernelRep:
         Built on first use.  A batch keeps its two products: a stacked dense product rounds a
         row differently in a block of rows than in the whole batch; two products do not.
         """
-        if self.n < SPARSE_MIN_N:
+        if not self.sparse_linalg:
             return np.hstack(self._product_blocks)
         import scipy.sparse
 
-        return scipy.sparse.hstack(self.csr, format="csr")
+        return scipy.sparse.hstack(self._product_blocks, format="csr")
 
     def residual(self, f, e):
         """F f + G e: zero iff the bond vector (f, e) lies in ker[F, G].
@@ -340,16 +339,13 @@ def validate_kernel(rep, tol=1e-10):
     """
     if not tol > 0:
         raise StructureError("tol must be positive")
-    n, sparse = rep.n, rep.sparse_linalg
+    n, sparse, (f, g) = rep.n, rep.sparse_linalg, rep._product_blocks
     if sparse:
-        f, g = rep.csr
         longest = (np.diff(f.indptr) + np.diff(g.indptr)).max()
         gram = f @ f.T + g @ g.T
     else:
-        f, g = dense(rep.F), dense(rep.G)
-        stacked = np.concatenate((f, g), axis=1)
-        longest = (stacked != 0).sum(axis=1).max()
-        gram = stacked @ stacked.T
+        longest = (rep.stacked != 0).sum(axis=1).max()
+        gram = rep.stacked @ rep.stacked.T
     cross = f @ g.T
     defect = float(abs(cross + cross.T).max())
     threshold = math.sqrt(int(longest) * EPS * float(abs(gram).sum(axis=0).max()))

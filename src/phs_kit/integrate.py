@@ -29,8 +29,8 @@ Both step maps factor by one rule, ``DiracKernelRep.sparse_linalg``: a large
 sparse structure's CSC Jacobian goes to SuperLU, whose solves give the
 condition estimate through ``onenormest`` with t=1 (no random vectors); any
 other Jacobian is dense and inverted once by numpy, with its exact 1-norm
-condition.  ``scipy.sparse`` is imported on first use, so a small dense
-structure loads no scipy module here.
+condition.  ``scipy.sparse`` is imported on first use, so a structure stored
+dense that the rule keeps dense loads no scipy module here.
 """
 
 import math
@@ -175,12 +175,12 @@ class _StepMap:
     def jacobian(self, z):
         """The step Jacobian at z: CSC if the structure's ``sparse_linalg`` holds, else dense."""
         d, n_s, x1 = self.sys.dirac, self.x0.size, z[: self.x0.size]
-        j_g, aux = self.gradient_jacobian(x1), _aux_block(self.sys, 0.5 * (self.x0 + x1))
+        (F, G), j_g = d._product_blocks, self.gradient_jacobian(x1)
+        aux = _aux_block(self.sys, 0.5 * (self.x0 + x1))
         if not d.sparse_linalg:
-            return np.hstack([-dense(d.F_s) / self.dt + dense(d.G_s) @ dense(j_g), aux])
+            return np.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ dense(j_g), aux])
         import scipy.sparse
 
-        F, G = d.csr
         return scipy.sparse.hstack([-F[:, :n_s] / self.dt + G[:, :n_s] @ scipy.sparse.csr_array(j_g),
                                     aux], format="csc")
 
@@ -488,7 +488,10 @@ def simulate(sys, x0, port_inputs=None, t_span=(0.0, 1.0), cfg=None):
     if t1 <= t0:
         raise StructureError("t_span must satisfy t1 > t0")
     # land exactly on t1: round to the nearest whole number of uniform steps
-    n_steps = max(1, int(round((t1 - t0) / cfg.dt)))
+    steps = (t1 - t0) / cfg.dt
+    if not math.isfinite(steps):
+        raise StructureError(f"(t1 - t0)/dt = {steps} is not a finite step count")
+    n_steps = max(1, int(round(steps)))
     dt = (t1 - t0) / n_steps
     inputs = PortSignal.coerce(port_inputs)
     inputs.validate_channels(sys)

@@ -472,6 +472,22 @@ def test_products_follow_the_size_rule_not_the_stored_form():
         assert all(scipy.sparse.issparse(block) for block in rep._product_blocks)
 
 
+def test_dense_structure_from_sparse_min_n_is_applied_dense():
+    # a dense structure holds far more than SPARSE_MAX_ROW_NNZ nonzeros per row: it is
+    # multiplied as it is validated and factored, dense
+    rep = random_dirac(np.random.default_rng(11), 220)
+    assert rep.n >= SPARSE_MIN_N and not rep.sparse_linalg
+    assert type(rep.stacked) is np.ndarray and rep.stacked.shape == (rep.n, 2 * rep.n)
+    assert all(type(block) is np.ndarray for block in rep._product_blocks)
+    f_csr, g_csr = (scipy.sparse.csr_array(block) for block in (rep.F, rep.G))
+    f, e = np.random.default_rng(12).standard_normal((2, 64, rep.n))
+    for args in ((f[0], e[0]), (f, e)):
+        want = (f_csr @ args[0].T + g_csr @ args[1].T).T
+        got = rep.residual(*args)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_sparse_structure_keeps_its_csr_arrays():
     rep = pk.make_example("string", N=16)[0].dirac
     assert rep.csr[0] is rep.F and rep.csr[1] is rep.G

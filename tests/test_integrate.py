@@ -65,6 +65,13 @@ def test_simulate_rejects_non_finite_inputs(oscillator, x0, t1, cfg_kwargs):
         simulate(oscillator, x0, None, (0.0, t1), SchemeConfig(**cfg_kwargs))
 
 
+@pytest.mark.parametrize("t_span, dt", [((-1.7e308, 1.7e308), 1.0), ((0.0, 0.5), 1e-320)])
+def test_simulate_refuses_a_step_count_that_is_not_finite(oscillator, t_span, dt):
+    # (t1 - t0)/dt overflows to inf: no whole number of steps lands on t1
+    with pytest.raises(pk.StructureError, match="not a finite step count"):
+        simulate(oscillator, [1.0, 0.0], None, t_span, SchemeConfig(dt=dt))
+
+
 def test_consistent_init_unconstrained(oscillator):
     x0, report = consistent_init(oscillator, [0.3, -0.7])
     assert x0 == pytest.approx([0.3, -0.7])

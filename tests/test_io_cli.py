@@ -205,6 +205,37 @@ def test_small_system_path_leaves_scipy_sparse_unloaded(tmp_path):
     assert done.stdout.split() == ["[]", "19", "True"]
 
 
+DENSE_SYSTEM_PATH = """
+import sys
+import numpy as np
+import phs_kit as pk
+
+# a dense graph structure D = {(J e, e)} of 220 bonds, mixed by an orthogonal Q: F = Q, G = -Q J
+rng = np.random.default_rng(7)
+a = rng.standard_normal((220, 220))
+q = np.linalg.qr(rng.standard_normal((220, 220)))[0]
+rep = pk.DiracKernelRep(F=q, G=-q @ (a - a.T), n_s=220)
+system = pk.assemble(rep, pk.QuadraticHamiltonian(H=np.eye(220)))
+assert not rep.sparse_linalg
+for scheme in ("implicit_midpoint", "discrete_gradient"):
+    traj = pk.simulate(system, rng.standard_normal(220), None, (0.0, 0.05),
+                       pk.SchemeConfig(scheme, dt=1e-2))
+    for audit in (pk.weak_residual, pk.energy_report, pk.strong_trajectory_audit):
+        audit(system, traj)
+print([m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules])
+"""
+
+
+def test_dense_structure_from_sparse_min_n_leaves_scipy_sparse_unloaded():
+    # assemble, simulate and the three audits of a dense 220-bond structure multiply,
+    # validate and factor it dense: no CSR copy, no scipy.sparse
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", DENSE_SYSTEM_PATH], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_system_dict_rejects_garbage():
     with pytest.raises(FileFormatError):
         system_from_dict({"version": "2"})
@@ -571,7 +602,7 @@ def test_cli_simulate_usage_errors(runner, tmp_path):
 
 @pytest.mark.parametrize("option, value", [
     ("--dt", "inf"), ("--dt", "nan"), ("--t1", "nan"), ("--newton-tol", "nan"),
-    ("--x0", "a,b"), ("--x0", "1,nan"),
+    ("--x0", "a,b"), ("--x0", "1,nan"), ("--dt", "1e-320"),
 ])
 def test_cli_simulate_rejects_non_finite_and_unparsable_numbers(runner, tmp_path, option, value):
     sys_path = tmp_path / "osc.json"
@@ -640,6 +671,25 @@ def test_cli_check_refuses_a_trajectory_node_that_is_not_finite(runner, tmp_path
     result = runner.invoke(main, ["check", str(sys_path), str(traj_path)])
     assert result.exit_code == 2
     assert result.stdout == "" and "time grid must be finite" in result.stderr
+
+
+@pytest.mark.parametrize("column, value, name", [("x_0", "inf", "x"), ("x_0", "nan", "x"),
+                                                 ("fP_0", "nan", "f_p")])
+def test_cli_check_refuses_a_state_or_channel_sample_that_is_not_finite(runner, tmp_path, column,
+                                                                      value, name):
+    # the audits would print NaN or Infinity, which is not JSON; a NaN after the first
+    # finite array would also slip past Trajectory.channel_magnitude's Python max
+    sys_path, traj_path = tmp_path / "forced.json", tmp_path / "traj.csv"
+    runner.invoke(main, ["example", "forced_oscillator", "--out", str(sys_path)])
+    runner.invoke(main, ["simulate", str(sys_path), "--t1", "0.05", "--dt", "0.01",
+                         "--input", "0=step(0.02,0.5)", "--out", str(traj_path)])
+    rows = [row.split(",") for row in traj_path.read_text().splitlines()]
+    rows[3][rows[0].index(column)] = value
+    traj_path.write_text("".join(",".join(row) + "\n" for row in rows))
+    result = runner.invoke(main, ["check", str(sys_path), str(traj_path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: trajectory {name} holds a sample that is not finite")
 
 
 def test_cli_check_shape_mismatch_exit_2(runner, tmp_path):
